@@ -42,7 +42,7 @@ def observability():
 
     print()
     print("BENCH observability metrics:")
-    print(json.dumps(obs.observability_dict()["metrics"], indent=2,
+    print(json.dumps(obs.observability_dict([])["metrics"], indent=2,
                      default=repr))
     obs.disable()
     obs.reset()

@@ -3,14 +3,15 @@
 The single measurement substrate the ROADMAP's perf work rests on.
 Every instrumented subsystem (query executor/profiler, Pregel engine,
 graph database, mining pipeline, workload runner) speaks this API, so
-one ``enable()`` lights up the whole stack:
+one ``capture()`` lights up the whole stack and collects the root
+spans finished inside it:
 
     >>> from repro import obs
-    >>> obs.enable()
-    >>> with obs.span("demo", n=3):
-    ...     obs.get_registry().inc("demo.items", 3)
-    >>> print(obs.render_tree())       # doctest: +SKIP
-    >>> obs.disable(); obs.reset()
+    >>> with obs.capture() as trace:
+    ...     with obs.span("demo", n=3):
+    ...         obs.get_registry().inc("demo.items", 3)
+    >>> print(obs.render_tree(trace.roots))       # doctest: +SKIP
+    >>> obs.reset()
 
 Tracing is **disabled by default**; the gated :func:`span` constructor
 returns a shared no-op singleton while off, so instrumentation costs
@@ -112,11 +113,9 @@ from repro.obs.spans import (
     current_span,
     disable,
     enable,
-    finished_roots,
     forced_span,
     get_tracer,
     is_enabled,
-    reset_spans,
     span,
     subscribe,
     unsubscribe,
@@ -125,8 +124,8 @@ from repro.obs.spans import (
 __all__ = [
     # spans
     "NULL_SPAN", "Span", "Tracer", "capture", "current_span", "disable",
-    "enable", "finished_roots", "forced_span", "get_tracer", "is_enabled",
-    "reset", "reset_spans", "span", "subscribe", "unsubscribe",
+    "enable", "forced_span", "get_tracer", "is_enabled", "reset", "span",
+    "subscribe", "unsubscribe",
     # metrics
     "DEFAULT_BUCKETS", "Counter", "Gauge", "Histogram", "MetricsRegistry",
     "get_registry",
@@ -177,6 +176,8 @@ def __getattr__(name: str):
 
 
 def reset() -> None:
-    """Drop collected spans and zero the process-wide metric registry."""
-    reset_spans()
+    """Zero the process-wide metric registry.
+
+    There are no global spans to drop: the tracer retains none, and
+    each :func:`capture` owns the roots it collected."""
     get_registry().reset()

@@ -67,8 +67,31 @@ def _serve_service():
     return _INPUTS["serve"]
 
 
+def _serve_http_connection():
+    """One keep-alive connection to a loopback server hosting the same
+    graph as :func:`_serve_service`, on a service of its own."""
+    if "serve_http" not in _INPUTS:
+        from http.client import HTTPConnection
+
+        from repro.serve.server import start_server
+        from repro.serve.service import GraphService
+
+        service = GraphService()
+        service.create_graph(graph_id="bench", scenario="product",
+                             seed=SOCIAL_SEED)
+        handle = start_server(service)
+        conn = HTTPConnection(handle.host, handle.port, timeout=30)
+        _INPUTS["serve_http"] = (handle, conn)
+    return _INPUTS["serve_http"][1]
+
+
 def clear_inputs() -> None:
     """Drop cached case inputs (tests use this to isolate state)."""
+    served = _INPUTS.pop("serve_http", None)
+    if served is not None:
+        handle, conn = served
+        conn.close()
+        handle.shutdown(drain_s=0.0)
     _INPUTS.clear()
 
 
@@ -280,6 +303,26 @@ def register_default_cases(suite: BenchSuite) -> BenchSuite:
                 last = service.query("bench", SERVE_QUERY)
         return last["cache"]
 
+    def serve_http_cached_case():
+        # The serve.query_cached loop through the HTTP transport: the
+        # compare gate against that baseline tracks the service-to-HTTP
+        # gap (parsing, routing, JSON encoding, loopback round trips).
+        import json
+
+        conn = _serve_http_connection()
+        body = json.dumps({"query": SERVE_QUERY}).encode("utf-8")
+        headers = {"Content-Type": "application/json"}
+        for _ in range(SERVE_REQUESTS):
+            conn.request("POST", "/graphs/bench/query", body=body,
+                         headers=headers)
+            response = conn.getresponse()
+            last = json.loads(response.read())
+            if response.status != 200:
+                raise RuntimeError(
+                    f"HTTP {response.status} from the bench server: "
+                    f"{last}")
+        return last["cache"]
+
     suite.add("serve.query_cached", serve_cached_case,
               tags=("serve",), work=SERVE_REQUESTS,
               query=SERVE_QUERY, requests=SERVE_REQUESTS)
@@ -295,6 +338,11 @@ def register_default_cases(suite: BenchSuite) -> BenchSuite:
               tags=("serve",), work=SERVE_REQUESTS,
               query=SERVE_QUERY, requests=SERVE_REQUESTS,
               deadline_ms=60_000.0,
+              baseline_case="serve.query_cached")
+    suite.add("serve.http_cached", serve_http_cached_case,
+              tags=("serve",), work=SERVE_REQUESTS,
+              query=SERVE_QUERY, requests=SERVE_REQUESTS,
+              transport="http",
               baseline_case="serve.query_cached")
 
     return suite

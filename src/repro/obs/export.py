@@ -22,7 +22,7 @@ from typing import Any, Iterable, Iterator
 
 from repro.errors import ReproError
 from repro.obs.metrics import MetricsRegistry, get_registry
-from repro.obs.spans import Span, finished_roots
+from repro.obs.spans import Span
 
 
 class ArtifactError(ReproError):
@@ -71,11 +71,9 @@ def span_record(span: Span) -> dict[str, Any]:
     }
 
 
-def to_jsonl(roots: Iterable[Span] | None = None) -> str:
+def to_jsonl(roots: Iterable[Span]) -> str:
     """Serialize span trees as JSON-lines (depth-first, parents before
-    children). Defaults to every finished root span in the tracer."""
-    if roots is None:
-        roots = finished_roots()
+    children) -- typically the ``trace.roots`` of a :func:`capture`."""
     lines = [json.dumps(span_record(s), sort_keys=True, default=repr)
              for s in _walk(roots)]
     return "\n".join(lines)
@@ -151,11 +149,8 @@ def _format_attributes(attributes: dict[str, Any]) -> str:
     return "  {" + ", ".join(parts) + "}"
 
 
-def render_tree(roots: Iterable[Span | SpanRecord] | None = None) -> str:
+def render_tree(roots: Iterable[Span | SpanRecord]) -> str:
     """The span forest as an indented text tree with durations."""
-    if roots is None:
-        roots = finished_roots()
-
     lines: list[str] = []
 
     def render(span, depth: int) -> None:
@@ -171,12 +166,10 @@ def render_tree(roots: Iterable[Span | SpanRecord] | None = None) -> str:
 
 
 def observability_dict(
-    roots: Iterable[Span] | None = None,
+    roots: Iterable[Span],
     registry: MetricsRegistry | None = None,
 ) -> dict[str, Any]:
     """Spans + metrics as one embeddable dict (``BENCH_*.json`` form)."""
-    if roots is None:
-        roots = finished_roots()
     if registry is None:
         registry = get_registry()
     return {

@@ -19,10 +19,12 @@ implements production-shaped retention:
   metrics registry as ``obs.traces.*`` so ``/metrics`` shows drop
   rates.
 
-The store holds strong references to its :class:`~repro.obs.spans.Span`
-trees, so the serve edge may freely reset the global tracer's
-(unbounded) finished-roots list — see :meth:`TraceStore.maintain` —
-without losing anything retention decided to keep.
+The store holds the only long-lived references to request
+:class:`~repro.obs.spans.Span` trees: the tracer itself retains
+nothing (it hands each finished span to its subscribers and forgets
+it), so a resident server's trace memory is bounded by its
+:class:`RetentionPolicy` alone. A request root that no buffer keeps
+becomes garbage as soon as the request returns.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from repro.obs.metrics import get_registry
-from repro.obs.spans import Span, get_tracer, is_enabled
+from repro.obs.spans import Span, is_enabled
 
 
 @dataclass(frozen=True)
@@ -233,23 +235,3 @@ class TraceStore:
             self._slow.clear()
             self._index.clear()
             self._refs.clear()
-
-    # -- tracer hygiene ---------------------------------------------------
-
-    @staticmethod
-    def maintain(limit: int = 10_000) -> bool:
-        """Reset the global tracer's finished-roots list once it grows
-        past ``limit``; returns whether a reset happened.
-
-        Safe because this store (not the tracer) owns the retained
-        request traces — the tracer's list is only a staging area on a
-        resident server, and metrics survive the reset.
-        """
-        tracer = get_tracer()
-        if tracer.enabled and \
-                len(tracer.finished_roots()) > limit:
-            tracer.reset()
-            if is_enabled():
-                get_registry().inc("obs.traces.tracer_resets")
-            return True
-        return False

@@ -17,16 +17,20 @@ Design constraints:
   grows its own subtree) and the collector is locked;
 * **consumable as events** -- finished spans are pushed to subscribers,
   which is how :mod:`repro.dgps.debugger` observes supersteps without a
-  private hook format.
+  private hook format;
+* **no hidden retention** -- the tracer keeps no finished spans;
+  :func:`capture` collects the roots of one block, and a resident
+  server keeps only what its retention policy admits.
 
 Usage::
 
-    from repro.obs import enable, span
+    from repro.obs import capture, span
 
-    enable()
-    with span("pregel.superstep", superstep=3) as sp:
-        ...
-        sp.set("messages_sent", 128)
+    with capture() as trace:
+        with span("pregel.superstep", superstep=3) as sp:
+            ...
+            sp.set("messages_sent", 128)
+    roots = trace.roots
 """
 
 from __future__ import annotations
@@ -225,14 +229,20 @@ def _set_profiler(profiler) -> None:
 
 
 class Tracer:
-    """Process-wide span collector: retains finished root spans while
-    enabled and notifies subscribers of every finished span."""
+    """Process-wide span gate and fan-out.
+
+    The tracer retains nothing: every finished span is handed to the
+    current subscribers and then forgotten, so whatever collects spans
+    (a :func:`capture` block, a serve :class:`~repro.obs.retention.
+    TraceStore`) owns exactly the memory it decided to keep.
+    """
 
     def __init__(self):
         self._lock = threading.Lock()
         self.enabled = False
-        self._finished: list[Span] = []
-        self._subscribers: list[Callable[[Span], None]] = []
+        # Copy-on-write: subscribe/unsubscribe swap in a new tuple
+        # under the lock, so _record reads it without locking.
+        self._subscribers: tuple[Callable[[Span], None], ...] = ()
 
     def enable(self) -> None:
         with self._lock:
@@ -242,30 +252,19 @@ class Tracer:
         with self._lock:
             self.enabled = False
 
-    def reset(self) -> None:
-        with self._lock:
-            self._finished.clear()
-
     def subscribe(self, listener: Callable[[Span], None]) -> None:
         with self._lock:
-            self._subscribers.append(listener)
+            self._subscribers = (*self._subscribers, listener)
 
     def unsubscribe(self, listener: Callable[[Span], None]) -> None:
         with self._lock:
-            if listener in self._subscribers:
-                self._subscribers.remove(listener)
-
-    def finished_roots(self) -> list[Span]:
-        """Completed top-level spans, in completion order."""
-        with self._lock:
-            return list(self._finished)
+            subscribers = list(self._subscribers)
+            if listener in subscribers:
+                subscribers.remove(listener)
+                self._subscribers = tuple(subscribers)
 
     def _record(self, finished: Span) -> None:
-        with self._lock:
-            if self.enabled and finished.parent is None:
-                self._finished.append(finished)
-            subscribers = list(self._subscribers)
-        for listener in subscribers:
+        for listener in self._subscribers:
             listener(finished)
 
 
@@ -291,8 +290,8 @@ def forced_span(name: str, /, **attributes: Any) -> Span:
     """Open a real span regardless of the global gate.
 
     Used where a live consumer is attached (e.g. the Pregel engine with
-    a registered superstep listener): subscribers are still notified,
-    but the span is only *retained* by the tracer when tracing is on.
+    a registered superstep listener): subscribers are still notified
+    even while tracing is off.
     """
     return Span(name, attributes)
 
@@ -315,10 +314,6 @@ def is_enabled() -> bool:
     return _TRACER.enabled
 
 
-def reset_spans() -> None:
-    _TRACER.reset()
-
-
 def subscribe(listener: Callable[[Span], None]) -> None:
     _TRACER.subscribe(listener)
 
@@ -327,24 +322,34 @@ def unsubscribe(listener: Callable[[Span], None]) -> None:
     _TRACER.unsubscribe(listener)
 
 
-def finished_roots() -> list[Span]:
-    return _TRACER.finished_roots()
-
-
 class _Capture:
-    """Handle yielded by :func:`capture`."""
+    """Handle yielded by :func:`capture`: the root spans its listener
+    collected, on whichever thread they finished."""
 
-    def __init__(self, start_index: int):
-        self._start = start_index
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._roots: list[Span] = []
+
+    def _collect(self, finished: Span) -> None:
+        if finished.parent is None:
+            with self._lock:
+                self._roots.append(finished)
 
     @property
     def roots(self) -> list[Span]:
-        return _TRACER.finished_roots()[self._start:]
+        """Root spans finished inside the block, in completion order."""
+        with self._lock:
+            return list(self._roots)
 
 
 class capture:
     """``with capture() as trace:`` -- temporarily enable tracing and
-    expose the root spans finished inside the block as ``trace.roots``."""
+    expose the root spans finished inside the block as ``trace.roots``.
+
+    The block subscribes its own collector and unsubscribes it on exit,
+    so nested captures each see their own roots and nothing outside a
+    capture keeps finished spans alive.
+    """
 
     def __init__(self):
         self._previous = False
@@ -352,11 +357,13 @@ class capture:
 
     def __enter__(self) -> _Capture:
         self._previous = _TRACER.enabled
-        self._handle = _Capture(len(_TRACER.finished_roots()))
+        self._handle = _Capture()
+        _TRACER.subscribe(self._handle._collect)
         _TRACER.enable()
         return self._handle
 
     def __exit__(self, exc_type, exc, tb) -> bool:
+        _TRACER.unsubscribe(self._handle._collect)
         if self._previous:
             _TRACER.enable()
         else:

@@ -54,7 +54,6 @@ from repro.obs.deadline import (
     deadline_scope,
     parse_deadline_ms,
 )
-from repro.obs.retention import TraceStore
 from repro.obs.trace_context import (
     TRACE_HEADER,
     accept_trace_id,
@@ -62,12 +61,6 @@ from repro.obs.trace_context import (
 )
 from repro.serve.errors import BadRequest, error_status
 from repro.serve.service import GraphService
-
-#: Above this many staged root spans in the global tracer, the server
-#: resets it — a resident process must not grow without bound just
-#: because observability is on. The retention TraceStore holds its own
-#: references, so retained traces and all metrics survive the reset.
-SPAN_RETENTION = 10_000
 
 _GRAPH = re.compile(r"^/graphs/(?P<gid>[^/]+)$")
 _QUERY = re.compile(r"^/graphs/(?P<gid>[^/]+)/query$")
@@ -82,6 +75,10 @@ class ServeHandler(BaseHTTPRequestHandler):
 
     protocol_version = "HTTP/1.1"
     server_version = "repro.serve/1"
+    # Headers and body leave in separate writes; with Nagle on, the
+    # body waits for the client's delayed ACK of the headers (~40 ms
+    # on loopback). StreamRequestHandler.setup sets TCP_NODELAY.
+    disable_nagle_algorithm = True
 
     @property
     def service(self) -> GraphService:
@@ -197,7 +194,6 @@ class ServeHandler(BaseHTTPRequestHandler):
                        extra_headers=extra_headers, drip=drip)
         except (BrokenPipeError, ConnectionResetError):
             pass  # client hung up; nothing to salvage
-        TraceStore.maintain(SPAN_RETENTION)
 
     # -- routing ---------------------------------------------------------
 

@@ -102,10 +102,10 @@ class TestStrictBuilders:
         assert set(result.values) == set(graph.vertices())
 
     def test_findings_recorded_as_span_events(self):
-        obs.enable()
         try:
-            analyze_spec(make_bad_pagerank())
-            checks = [s for root in obs.finished_roots()
+            with obs.capture() as trace:
+                analyze_spec(make_bad_pagerank())
+            checks = [s for root in trace.roots
                       for s in root.find("analysis.check")]
             assert checks
             rules = {event["rule"]
@@ -113,7 +113,6 @@ class TestStrictBuilders:
                      for event in s.attributes.get("findings", [])}
             assert {"DET002", "DET003"} <= rules
         finally:
-            obs.disable()
             obs.reset()
 
 

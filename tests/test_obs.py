@@ -1,5 +1,6 @@
 """The unified observability layer: spans, metrics, exporters, wiring."""
 
+import gc
 import json
 import math
 import threading
@@ -21,6 +22,13 @@ def clean_obs_state():
     obs.reset()
 
 
+def live_spans(name):
+    """Span objects named ``name`` still reachable after a collection."""
+    gc.collect()
+    return [o for o in gc.get_objects()
+            if isinstance(o, Span) and o.name == name]
+
+
 class TestSpans:
     def test_disabled_by_default_returns_null_singleton(self):
         assert not obs.is_enabled()
@@ -30,23 +38,28 @@ class TestSpans:
         assert second is NULL_SPAN  # no span objects on the hot path
 
     def test_null_span_is_inert(self):
-        with obs.span("ignored") as sp:
-            sp.set("key", "value")
-            sp["other"] = 2
+        seen = []
+        obs.subscribe(seen.append)
+        try:
+            with obs.span("ignored") as sp:
+                sp.set("key", "value")
+                sp["other"] = 2
+        finally:
+            obs.unsubscribe(seen.append)
         assert sp.attributes == {}
         assert sp.duration_ms == 0.0
-        assert obs.finished_roots() == []
+        assert seen == []  # the no-op span never reaches the tracer
 
     def test_nesting_and_attribute_capture(self):
-        obs.enable()
-        with obs.span("outer", depth=0) as outer:
-            with obs.span("inner", depth=1) as inner:
-                inner.set("extra", "x")
+        with obs.capture() as trace:
+            with obs.span("outer", depth=0) as outer:
+                with obs.span("inner", depth=1) as inner:
+                    inner.set("extra", "x")
         assert inner.parent is outer
         assert outer.children == [inner]
         assert outer.attributes == {"depth": 0}
         assert inner.attributes == {"depth": 1, "extra": "x"}
-        roots = obs.finished_roots()
+        roots = trace.roots
         assert roots == [outer]
         assert [s.name for s in outer.walk()] == ["outer", "inner"]
 
@@ -69,13 +82,13 @@ class TestSpans:
         assert obs.current_span() is None
 
     def test_exception_marks_span_and_unwinds(self):
-        obs.enable()
-        with pytest.raises(ValueError):
-            with obs.span("boom") as sp:
-                raise ValueError("x")
+        with obs.capture() as trace:
+            with pytest.raises(ValueError):
+                with obs.span("boom") as sp:
+                    raise ValueError("x")
         assert sp.attributes["error"] == "ValueError"
         assert obs.current_span() is None
-        assert obs.finished_roots() == [sp]
+        assert trace.roots == [sp]
 
     def test_subscribers_see_every_finished_span(self):
         obs.enable()
@@ -98,7 +111,8 @@ class TestSpans:
         finally:
             obs.unsubscribe(seen.append)
         assert [s.name for s in seen] == ["forced"]
-        assert obs.finished_roots() == []  # tracing still disabled
+        del seen
+        assert live_spans("forced") == []  # nothing else kept it
 
     def test_capture_restores_prior_state(self):
         with obs.capture() as trace:
@@ -108,8 +122,60 @@ class TestSpans:
         assert not obs.is_enabled()
         assert [s.name for s in trace.roots] == ["inside"]
 
-    def test_threads_get_independent_subtrees(self):
+    def test_capture_keeps_roots_across_reset(self):
         obs.enable()
+        with obs.span("before"):
+            pass
+        with obs.capture() as trace:
+            obs.reset()
+            with obs.span("after-reset") as root:
+                pass
+        assert trace.roots == [root]
+
+    def test_nested_captures_see_their_own_roots(self):
+        with obs.capture() as outer:
+            with obs.span("a"):
+                pass
+            with obs.capture() as inner:
+                with obs.span("b"):
+                    pass
+            assert obs.is_enabled()  # the inner exit restored "on"
+            with obs.span("c"):
+                pass
+        assert [s.name for s in inner.roots] == ["b"]
+        assert [s.name for s in outer.roots] == ["a", "b", "c"]
+
+    def test_capture_loses_no_roots_under_thread_churn(self):
+        import sys
+
+        n_threads, per_thread = 8, 200
+        barrier = threading.Barrier(n_threads)
+
+        def worker():
+            barrier.wait()
+            for _ in range(per_thread):
+                with obs.span("churn"):
+                    with obs.span("child"):
+                        pass
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with obs.capture() as trace:
+                threads = [threading.Thread(target=worker)
+                           for _ in range(n_threads)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=30.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        roots = trace.roots
+        assert len(roots) == n_threads * per_thread
+        assert {s.name for s in roots} == {"churn"}
+
+    def test_threads_get_independent_subtrees(self):
         done = threading.Event()
 
         def worker():
@@ -117,12 +183,13 @@ class TestSpans:
                 pass
             done.set()
 
-        with obs.span("main-root") as main_root:
-            thread = threading.Thread(target=worker)
-            thread.start()
-            thread.join()
+        with obs.capture() as trace:
+            with obs.span("main-root") as main_root:
+                thread = threading.Thread(target=worker)
+                thread.start()
+                thread.join()
         assert done.is_set()
-        names = {s.name for s in obs.finished_roots()}
+        names = {s.name for s in trace.roots}
         assert names == {"worker-root", "main-root"}
         assert main_root.children == []  # worker span did not nest here
 
@@ -299,15 +366,15 @@ class TestExport:
         """A deeply nested span tree survives serialization with parent
         links, ordering, attributes and durations intact."""
         depth = 40
-        obs.enable()
-        opened = []
-        for level in range(depth):
-            sp = obs.span("level", depth=level)
-            sp.__enter__()
-            opened.append(sp)
-        for sp in reversed(opened):
-            sp.__exit__(None, None, None)
-        roots = obs.from_jsonl(obs.to_jsonl(obs.finished_roots()))
+        with obs.capture() as trace:
+            opened = []
+            for level in range(depth):
+                sp = obs.span("level", depth=level)
+                sp.__enter__()
+                opened.append(sp)
+            for sp in reversed(opened):
+                sp.__exit__(None, None, None)
+        roots = obs.from_jsonl(obs.to_jsonl(trace.roots))
         assert len(roots) == 1
         chain = []
         node = roots[0]
@@ -327,7 +394,6 @@ class TestExport:
     def test_jsonl_round_trip_threaded_spans(self):
         """Spans opened and closed on multiple threads keep per-thread
         parentage and attributes through a serialize/parse cycle."""
-        obs.enable()
         n_threads, n_children = 4, 5
         barrier = threading.Barrier(n_threads)
 
@@ -340,11 +406,12 @@ class TestExport:
 
         threads = [threading.Thread(target=worker, args=(tid,))
                    for tid in range(n_threads)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        roots = obs.from_jsonl(obs.to_jsonl(obs.finished_roots()))
+        with obs.capture() as trace:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
+        roots = obs.from_jsonl(obs.to_jsonl(trace.roots))
         assert len(roots) == n_threads
         seen_tids = set()
         for root in roots:
@@ -361,9 +428,10 @@ class TestExport:
             assert all(c.parent_id == root.span_id for c in root.children)
         assert seen_tids == set(range(n_threads))
 
-    def test_jsonl_defaults_to_tracer_roots(self):
-        self.build_trace()
-        roots = obs.from_jsonl(obs.to_jsonl())
+    def test_jsonl_of_captured_roots(self):
+        with obs.capture() as trace:
+            self.build_trace()
+        roots = obs.from_jsonl(obs.to_jsonl(trace.roots))
         assert [r.name for r in roots] == ["root"]
 
     def test_render_tree_shows_nesting_and_attributes(self):

@@ -1,5 +1,6 @@
 """Observability wired through query, Pregel, graphdb, mining, workloads."""
 
+import gc
 import math
 
 import pytest
@@ -9,6 +10,7 @@ from repro.dgps import PregelEngine, captured_run, pregel_pagerank, run_pregel
 from repro.graphdb import GraphDatabase
 from repro.graphs import graph_from_edges
 from repro.obs.report import main as report_main, run_instrumented_workload
+from repro.obs.spans import Span
 from repro.query import AccessStats, CountingGraph, profile
 from repro.synthesis import build_review_corpus
 from repro.workloads import build_scenario, run_survey_workload
@@ -86,12 +88,17 @@ class TestFullSweep:
         only the no-op singleton -- no spans, no metrics."""
         graph = build_scenario("social", seed=5)
         before = obs.get_registry().summary()
-        run_survey_workload(graph, seed=5)
-        pregel_pagerank(graph, supersteps=3)
-        db = GraphDatabase()
-        with db.transaction():
-            db.add_vertex(1, label="V")
-        assert obs.finished_roots() == []
+        seen = []
+        obs.subscribe(seen.append)
+        try:
+            run_survey_workload(graph, seed=5)
+            pregel_pagerank(graph, supersteps=3)
+            db = GraphDatabase()
+            with db.transaction():
+                db.add_vertex(1, label="V")
+        finally:
+            obs.unsubscribe(seen.append)
+        assert seen == []
         assert obs.get_registry().summary() == before
 
 
@@ -107,7 +114,11 @@ class TestPregelObservability:
         assert len(seen) == result.supersteps
         assert all(s.closed for s in seen)
         assert seen[0].attributes["values"][0] == 0.0
-        assert obs.finished_roots() == []
+        ids = {s.span_id for s in seen}
+        del engine, seen
+        gc.collect()
+        assert not [o for o in gc.get_objects()
+                    if isinstance(o, Span) and o.span_id in ids]
 
     def test_trace_hook_adapter_matches_span_events(self):
         hook_calls = []

@@ -104,20 +104,20 @@ class TestDeadline:
         assert current_deadline() is None
 
     def test_spans_stamp_remaining_budget(self):
-        obs.enable()
-        with deadline_scope(60_000.0):
-            with obs.span("outer"):
-                with obs.span("inner"):
-                    pass
-        (root,) = obs.finished_roots()
+        with obs.capture() as trace:
+            with deadline_scope(60_000.0):
+                with obs.span("outer"):
+                    with obs.span("inner"):
+                        pass
+        (root,) = trace.roots
         spans = list(root.walk())
         assert all(0 < s.attributes["deadline_remaining_ms"] <= 60_000
                    for s in spans)
         # Without an ambient deadline the attribute never appears.
-        obs.reset()
-        with obs.span("bare"):
-            pass
-        (bare,) = obs.finished_roots()
+        with obs.capture() as trace:
+            with obs.span("bare"):
+                pass
+        (bare,) = trace.roots
         assert "deadline_remaining_ms" not in bare.attributes
 
 
@@ -153,12 +153,12 @@ class TestDeadlineCooperativeCancel:
         assert err.value.where == "pregel.superstep:2"
 
     def test_dist_run_returns_504_and_releases_slot(self):
-        obs.enable()
-        service = product_service()
-        with deadline_scope(25.0):
-            with pytest.raises(DeadlineExceeded) as err:
-                service.algorithm("g1", "pagerank", seed=0,
-                                  distributed=True, shards=2)
+        with obs.capture() as trace:
+            service = product_service()
+            with deadline_scope(25.0):
+                with pytest.raises(DeadlineExceeded) as err:
+                    service.algorithm("g1", "pagerank", seed=0,
+                                      distributed=True, shards=2)
         # Cancelled at a cooperative dist yield point, not a timeout
         # bolted on from outside...
         assert err.value.where.startswith("dist.")
@@ -169,7 +169,7 @@ class TestDeadlineCooperativeCancel:
         # ...and every span the request traversed carries the budget,
         # strictly decreasing from the serve edge into the workers.
         stamped = [(s.name, s.attributes["deadline_remaining_ms"])
-                   for root in obs.finished_roots()
+                   for root in trace.roots
                    for s in root.walk()
                    if "deadline_remaining_ms" in s.attributes]
         names = {name for name, _ in stamped}

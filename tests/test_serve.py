@@ -332,6 +332,34 @@ class TestServeHTTP:
         assert response.status == 400
         assert body["error"] == "BadRequest"
 
+    def test_keep_alive_cached_query_is_not_transport_bound(self, server):
+        """Headers and body leave in separate writes; without
+        TCP_NODELAY the body waits on the client's delayed ACK
+        (~40 ms on loopback), so a sub-ms cached query would take
+        tens of ms end to end."""
+        handle, _ = server
+        from http.client import HTTPConnection
+
+        body = json.dumps({"query": PLACED}).encode("utf-8")
+        headers = {"Content-Type": "application/json"}
+        conn = HTTPConnection(handle.host, handle.port, timeout=10)
+        latencies_ms = []
+        try:
+            for _ in range(50):
+                start = time.perf_counter()
+                conn.request("POST", "/graphs/g1/query", body=body,
+                             headers=headers)
+                response = conn.getresponse()
+                payload = json.loads(response.read())
+                latencies_ms.append(
+                    (time.perf_counter() - start) * 1000.0)
+                assert response.status == 200
+        finally:
+            conn.close()
+        assert payload["cache"] == "hit"
+        p50 = sorted(latencies_ms)[len(latencies_ms) // 2]
+        assert p50 < 10.0, f"keep-alive cached query p50 {p50:.1f} ms"
+
     def test_metrics_expose_serve_counters(self, server):
         _, client = server
         client.request("POST", "/graphs/g1/query", {"query": PLACED})

@@ -1,5 +1,6 @@
 """Request tracing, retention, slowlog, SLOs — unit through HTTP."""
 
+import gc
 import json
 import threading
 import time
@@ -9,6 +10,7 @@ import pytest
 from repro import obs
 from repro.obs import bench
 from repro.obs.retention import RetentionPolicy, TraceStore
+from repro.obs.spans import Span
 from repro.obs.slo import (
     SLOMonitor,
     SLOSpec,
@@ -94,28 +96,28 @@ class TestTraceContext:
             accept_trace_id(bad)
 
     def test_spans_inside_scope_are_stamped(self):
-        obs.enable()
-        with trace_scope() as tid:
-            with obs.span("outer"):
-                with obs.span("inner"):
-                    pass
-        [root] = obs.finished_roots()
+        with obs.capture() as trace:
+            with trace_scope() as tid:
+                with obs.span("outer"):
+                    with obs.span("inner"):
+                        pass
+        [root] = trace.roots
         assert all(s.attributes["trace_id"] == tid
                    for s in root.walk())
 
     def test_spans_outside_scope_are_not_stamped(self):
-        obs.enable()
-        with obs.span("plain"):
-            pass
-        [root] = obs.finished_roots()
+        with obs.capture() as trace:
+            with obs.span("plain"):
+                pass
+        [root] = trace.roots
         assert "trace_id" not in root.attributes
 
     def test_explicit_span_attribute_wins(self):
-        obs.enable()
-        with trace_scope("ambient"):
-            with obs.span("s", trace_id="explicit"):
-                pass
-        [root] = obs.finished_roots()
+        with obs.capture() as trace:
+            with trace_scope("ambient"):
+                with obs.span("s", trace_id="explicit"):
+                    pass
+        [root] = trace.roots
         assert root.attributes["trace_id"] == "explicit"
 
 
@@ -251,15 +253,6 @@ class TestTraceStore:
         counters = obs.get_registry().summary()["counters"]
         assert counters["obs.traces.ingested"] == 5
         assert counters["obs.traces.kept"] == 5
-
-    def test_maintain_resets_oversized_tracer(self):
-        obs.enable()
-        for _ in range(12):
-            with obs.span("filler"):
-                pass
-        assert TraceStore.maintain(limit=10) is True
-        assert obs.finished_roots() == []
-        assert TraceStore.maintain(limit=10) is False
 
     def test_policy_validation(self):
         with pytest.raises(ValueError, match="capacity"):
@@ -516,6 +509,26 @@ class TestServiceTelemetry:
         by_spec = {row["spec"]: row for row in payload["slos"]}
         err = by_spec["errors:*@0.99"]
         assert all(w["bad"] == 0 for w in err["windows"])
+
+    def test_trace_memory_bounded_by_retention_policy(self):
+        """With tracing on, the only long-lived request roots are the
+        ones retention kept: nothing else stages finished spans."""
+        policy = RetentionPolicy(capacity=2, error_capacity=1,
+                                 slow_capacity=1)
+        bound = (policy.capacity + policy.error_capacity
+                 + policy.slow_capacity)
+        obs.enable()
+        service = GraphService(retention=policy)
+        service.create_graph(graph_id="bounded", scenario="product",
+                             seed=7)
+        for i in range(3 * bound):
+            service.query("bounded", PLACED, use_cache=i % 2 == 0)
+        gc.collect()
+        live_roots = [o for o in gc.get_objects()
+                      if isinstance(o, Span) and o.parent is None
+                      and o.attributes.get("graph") == "bounded"]
+        assert service.traces.stats()["ingested"] == 3 * bound + 1
+        assert 0 < len(live_roots) <= bound
 
     def test_telemetry_works_without_tracing(self):
         # obs disabled: no spans retained, but slowlog/SLO still run.
