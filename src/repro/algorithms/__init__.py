@@ -24,6 +24,7 @@ Module map (Table 9 row -> module):
 
 from repro.algorithms.aggregation import (
     average_clustering,
+    clustering_coefficients,
     degree_assortativity,
     degree_histogram,
     degree_statistics,

@@ -23,6 +23,33 @@ def _undirected_neighbor_sets(graph) -> dict[Vertex, set[Vertex]]:
     return sets
 
 
+def _forward_sets(neighbors) -> dict[Vertex, set[Vertex]]:
+    """Orient each edge from the lower- to the higher-ranked endpoint,
+    ranking by (degree, position), so every triangle is seen once."""
+    rank = {v: (len(adjacent), i)
+            for i, (v, adjacent) in enumerate(neighbors.items())}
+    return {v: {w for w in adjacent if rank[v] < rank[w]}
+            for v, adjacent in neighbors.items()}
+
+
+def _count_triangles(neighbors) -> int:
+    forward = _forward_sets(neighbors)
+    return sum(len(out & forward[w])
+               for out in forward.values() for w in out)
+
+
+def _triangles_through(neighbors) -> dict[Vertex, int]:
+    forward = _forward_sets(neighbors)
+    counts = dict.fromkeys(neighbors, 0)
+    for v, out in forward.items():
+        for w in out:
+            for x in out & forward[w]:
+                counts[v] += 1
+                counts[w] += 1
+                counts[x] += 1
+    return counts
+
+
 def triangle_count(graph) -> int:
     """Total number of triangles (each counted once).
 
@@ -30,38 +57,20 @@ def triangle_count(graph) -> int:
     lower-ranked to the higher-ranked endpoint and count common forward
     neighbors, giving O(m^(3/2)) worst case.
     """
-    neighbors = _undirected_neighbor_sets(graph)
-    rank = {
-        v: (len(neighbors[v]), i)
-        for i, v in enumerate(neighbors)
-    }
-    forward: dict[Vertex, set[Vertex]] = {v: set() for v in neighbors}
-    for v, adjacent in neighbors.items():
-        for w in adjacent:
-            if rank[v] < rank[w]:
-                forward[v].add(w)
-    triangles = 0
-    for v, out in forward.items():
-        for w in out:
-            triangles += len(out & forward[w])
-    return triangles
+    return _count_triangles(_undirected_neighbor_sets(graph))
 
 
 def triangles_per_vertex(graph) -> dict[Vertex, int]:
-    """Number of triangles through each vertex."""
-    neighbors = _undirected_neighbor_sets(graph)
-    counts = {v: 0 for v in neighbors}
-    for v, adjacent in neighbors.items():
-        adjacent_list = list(adjacent)
-        for i, a in enumerate(adjacent_list):
-            for b in adjacent_list[i + 1:]:
-                if b in neighbors[a]:
-                    counts[v] += 1
-    return counts
+    """Number of triangles through each vertex (same O(m^(3/2)) pass)."""
+    return _triangles_through(_undirected_neighbor_sets(graph))
 
 
 def local_clustering_coefficient(graph, vertex: Vertex) -> float:
-    """Fraction of a vertex's neighbor pairs that are themselves linked."""
+    """Fraction of a vertex's neighbor pairs that are themselves linked.
+
+    The single-vertex definition, checked pair by pair; use
+    :func:`clustering_coefficients` for every vertex at once.
+    """
     neighbors = _undirected_neighbor_sets(graph)
     adjacent = neighbors[vertex]
     k = len(adjacent)
@@ -76,14 +85,25 @@ def local_clustering_coefficient(graph, vertex: Vertex) -> float:
     return 2.0 * links / (k * (k - 1))
 
 
+def clustering_coefficients(graph) -> dict[Vertex, float]:
+    """Local clustering coefficient of every vertex, in vertex order,
+    from one triangle pass: ``2 t(v) / (k (k - 1))``, 0.0 when k < 2."""
+    neighbors = _undirected_neighbor_sets(graph)
+    triangles = _triangles_through(neighbors)
+    coefficients = dict.fromkeys(neighbors, 0.0)
+    for v, adjacent in neighbors.items():
+        k = len(adjacent)
+        if k > 1:
+            coefficients[v] = 2.0 * triangles[v] / (k * (k - 1))
+    return coefficients
+
+
 def average_clustering(graph) -> float:
     """Mean local clustering coefficient (0.0 for an empty graph)."""
-    vertices = list(graph.vertices())
-    if not vertices:
+    coefficients = clustering_coefficients(graph)
+    if not coefficients:
         return 0.0
-    return sum(
-        local_clustering_coefficient(graph, v) for v in vertices
-    ) / len(vertices)
+    return sum(coefficients.values()) / len(coefficients)
 
 
 def global_clustering(graph) -> float:
@@ -94,7 +114,7 @@ def global_clustering(graph) -> float:
         for adjacent in neighbors.values())
     if wedges == 0:
         return 0.0
-    return 3.0 * triangle_count(graph) / wedges
+    return 3.0 * _count_triangles(neighbors) / wedges
 
 
 def degree_histogram(graph) -> dict[int, int]:

@@ -46,21 +46,18 @@ def pagerank(
 
     teleport = _teleport_vector(csr, personalization)
     rank = np.full(n, 1.0 / n)
-    out_weight = _out_strength(csr, weighted)
+    sources = csr.row_ids()
+    out_weight = _out_strength(csr, sources, weighted)
     dangling = out_weight == 0
 
     for _ in range(max_iter):
-        new_rank = np.zeros(n)
         scale = np.divide(rank, out_weight, out=np.zeros(n), where=~dangling)
-        for i in range(n):
-            if dangling[i]:
-                continue
-            row = slice(csr.indptr[i], csr.indptr[i + 1])
-            if weighted:
-                np.add.at(new_rank, csr.indices[row],
-                          scale[i] * csr.weights[row])
-            else:
-                np.add.at(new_rank, csr.indices[row], scale[i])
+        # bincount adds the pushes in CSR order, row by row, so every
+        # score is summed in a fixed order.
+        pushed = scale[sources]
+        if weighted:
+            pushed *= csr.weights
+        new_rank = np.bincount(csr.indices, weights=pushed, minlength=n)
         dangling_mass = rank[dangling].sum()
         new_rank = (damping * (new_rank + dangling_mass * teleport)
                     + (1 - damping) * teleport)
@@ -87,14 +84,12 @@ def _teleport_vector(csr: CSRGraph, personalization) -> np.ndarray:
     return vector / total
 
 
-def _out_strength(csr: CSRGraph, weighted: bool) -> np.ndarray:
+def _out_strength(csr: CSRGraph, row_ids: np.ndarray,
+                  weighted: bool) -> np.ndarray:
     n = csr.num_vertices()
     if not weighted:
         return np.diff(csr.indptr).astype(np.float64)
-    strength = np.zeros(n)
-    for i in range(n):
-        strength[i] = csr.weights[csr.indptr[i]:csr.indptr[i + 1]].sum()
-    return strength
+    return np.bincount(row_ids, weights=csr.weights, minlength=n)
 
 
 def top_ranked(scores: Mapping[Vertex, float], k: int) -> list[Vertex]:

@@ -47,26 +47,24 @@ class CSRGraph:
         """Snapshot a graph. Undirected edges appear in both rows."""
         order = list(graph.vertices())
         index_of = {v: i for i, v in enumerate(order)}
-        n = len(order)
-        degrees = np.zeros(n + 1, dtype=np.int64)
-        rows: list[list[tuple[int, float]]] = [[] for _ in range(n)]
+        us, vs, ws = [], [], []
         for edge in graph.edges():
-            ui, vi = index_of[edge.u], index_of[edge.v]
-            rows[ui].append((vi, edge.weight))
-            if not graph.directed and ui != vi:
-                rows[vi].append((ui, edge.weight))
-        for i, row in enumerate(rows):
-            degrees[i + 1] = len(row)
-        indptr = np.cumsum(degrees)
-        nnz = int(indptr[-1])
-        indices = np.empty(nnz, dtype=np.int64)
-        weights = np.empty(nnz, dtype=np.float64)
-        for i, row in enumerate(rows):
-            row.sort()
-            start = indptr[i]
-            for offset, (j, w) in enumerate(row):
-                indices[start + offset] = j
-                weights[start + offset] = w
+            us.append(index_of[edge.u])
+            vs.append(index_of[edge.v])
+            ws.append(edge.weight)
+        sources = np.array(us, dtype=np.int64)
+        targets = np.array(vs, dtype=np.int64)
+        weights = np.array(ws, dtype=np.float64)
+        if not graph.directed:
+            mirror = sources != targets
+            sources, targets = (np.concatenate([sources, targets[mirror]]),
+                                np.concatenate([targets, sources[mirror]]))
+            weights = np.concatenate([weights, weights[mirror]])
+        # Row-major, each row sorted by (target, weight).
+        by_row = np.lexsort((weights, targets, sources))
+        counts = np.bincount(sources, minlength=len(order))
+        indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
+        indices, weights = targets[by_row], weights[by_row]
         return cls(indptr=indptr, indices=indices, weights=weights,
                    vertex_order=order, directed=graph.directed)
 
@@ -115,11 +113,7 @@ class CSRGraph:
         return nnz if self.directed else (nnz + self._num_loops()) // 2
 
     def _num_loops(self) -> int:
-        loops = 0
-        for i in range(self.num_vertices()):
-            row = self.indices[self.indptr[i]:self.indptr[i + 1]]
-            loops += int(np.count_nonzero(row == i))
-        return loops
+        return int(np.count_nonzero(self.indices == self.row_ids()))
 
     def index(self, vertex: Vertex) -> int:
         try:
@@ -142,13 +136,17 @@ class CSRGraph:
     def in_degrees(self) -> np.ndarray:
         return np.bincount(self.indices, minlength=self.num_vertices())
 
+    def row_ids(self) -> np.ndarray:
+        """The row (source index) of every stored entry."""
+        return np.repeat(np.arange(self.num_vertices(), dtype=np.int64),
+                         np.diff(self.indptr))
+
     def transpose(self) -> "CSRGraph":
         """The reverse graph (same object semantics for undirected)."""
         n = self.num_vertices()
-        sources = np.repeat(np.arange(n, dtype=np.int64), np.diff(self.indptr))
         order = np.argsort(self.indices, kind="stable")
         new_sources = self.indices[order]
-        new_targets = sources[order]
+        new_targets = self.row_ids()[order]
         new_weights = self.weights[order]
         counts = np.bincount(new_sources, minlength=n)
         indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)

@@ -32,7 +32,7 @@ def node_features(
     Returns ``(vertex_order, X)`` with ``X[i]`` the features of
     ``vertex_order[i]`` in the order requested.
     """
-    from repro.algorithms.aggregation import local_clustering_coefficient
+    from repro.algorithms.aggregation import clustering_coefficients
     from repro.algorithms.dense import core_numbers
     from repro.algorithms.pagerank import pagerank
 
@@ -46,8 +46,7 @@ def node_features(
     if "in_degree" in features:
         columns["in_degree"] = {v: float(graph.in_degree(v)) for v in vertices}
     if "clustering" in features:
-        columns["clustering"] = {
-            v: local_clustering_coefficient(graph, v) for v in vertices}
+        columns["clustering"] = clustering_coefficients(graph)
     if "core_number" in features:
         cores = core_numbers(graph)
         columns["core_number"] = {v: float(cores[v]) for v in vertices}

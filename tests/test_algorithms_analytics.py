@@ -1,12 +1,17 @@
 """PageRank, centrality, aggregation, and subgraph matching."""
 
 import networkx as nx
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import repro.algorithms.aggregation as aggregation
 from repro.algorithms import (
     approximate_betweenness,
     average_clustering,
     betweenness_centrality,
+    clustering_coefficients,
     closeness_centrality,
     count_motif,
     count_subgraph_isomorphisms,
@@ -30,6 +35,7 @@ from repro.algorithms import (
 from repro.algorithms.centrality import degree_centrality, top_central
 from repro.errors import ConvergenceError
 from repro.graphs import Graph, PropertyGraph, graph_from_edges
+from repro.graphs.csr import CSRGraph
 
 
 def to_graph(nxg):
@@ -294,3 +300,150 @@ class TestTriplePatterns:
         g = self.build()
         rows = list(match_triples(g, [("ann", None, Var("o"))]))
         assert {row["o"] for row in rows} == {"bob", "acme"}
+
+
+# -- differential tests: the array/one-pass kernels against per-row and
+# per-vertex references ----------------------------------------------------
+
+#: Repeated values so parallel edges tie on weight; floats so they don't.
+edge_weights = st.one_of(st.sampled_from([0.5, 1.0, 2.0]),
+                         st.floats(0.01, 100.0))
+
+
+@st.composite
+def multigraphs(draw, weights=edge_weights):
+    """Directed or undirected multigraphs on up to 9 vertices, inserted
+    in arbitrary order: self-loops, parallel edges with their own
+    weights, reciprocal directed pairs, isolated vertices and the empty
+    graph all occur."""
+    g = Graph(directed=draw(st.booleans()), multigraph=True)
+    vertices = draw(st.lists(st.integers(0, 30), unique=True, max_size=9))
+    g.add_vertices(vertices)
+    if vertices:
+        endpoint = st.sampled_from(vertices)
+        for u, v, w in draw(st.lists(st.tuples(endpoint, endpoint, weights),
+                                     max_size=40)):
+            g.add_edge(u, v, weight=w)
+    return g
+
+
+def reference_csr(graph):
+    """Per-row build: each row's (target, weight) pairs sorted."""
+    order = list(graph.vertices())
+    index_of = {v: i for i, v in enumerate(order)}
+    rows = [[] for _ in order]
+    for edge in graph.edges():
+        ui, vi = index_of[edge.u], index_of[edge.v]
+        rows[ui].append((vi, edge.weight))
+        if not graph.directed and ui != vi:
+            rows[vi].append((ui, edge.weight))
+    indptr = np.cumsum([0] + [len(row) for row in rows], dtype=np.int64)
+    pairs = [pair for row in rows for pair in sorted(row)]
+    return (indptr, np.array([j for j, _ in pairs], dtype=np.int64),
+            np.array([w for _, w in pairs], dtype=np.float64))
+
+
+def reference_pagerank(graph, damping=0.85, tol=1e-10, weighted=False,
+                       personalization=None):
+    """Power iteration pushing one row at a time with ``np.add.at``;
+    a row's out-strength is its weights summed one by one in CSR order."""
+    csr = CSRGraph.from_graph(graph)
+    n = csr.num_vertices()
+    if personalization is None:
+        teleport = np.full(n, 1.0 / n)
+    else:
+        teleport = np.zeros(n)
+        for vertex, mass in personalization.items():
+            teleport[csr.index(vertex)] = mass
+        teleport = teleport / teleport.sum()
+    out_weight = np.zeros(n)
+    for i in range(n):
+        for k in range(csr.indptr[i], csr.indptr[i + 1]):
+            out_weight[i] += csr.weights[k] if weighted else 1.0
+    dangling = out_weight == 0
+    rank = np.full(n, 1.0 / n)
+    while True:
+        new_rank = np.zeros(n)
+        scale = np.divide(rank, out_weight, out=np.zeros(n), where=~dangling)
+        for i in range(n):
+            if dangling[i]:
+                continue
+            row = slice(csr.indptr[i], csr.indptr[i + 1])
+            pushed = scale[i] * csr.weights[row] if weighted else scale[i]
+            np.add.at(new_rank, csr.indices[row], pushed)
+        new_rank = (damping * (new_rank + rank[dangling].sum() * teleport)
+                    + (1 - damping) * teleport)
+        delta = np.abs(new_rank - rank).sum()
+        rank = new_rank
+        if delta < tol:
+            return csr.labels_to_vertices(rank)
+
+
+class TestKernelsAgainstReferences:
+    @given(multigraphs())
+    @settings(max_examples=60, deadline=None)
+    def test_clustering_coefficients_equal_single_vertex_definition(self, g):
+        coefficients = clustering_coefficients(g)
+        assert list(coefficients) == list(g.vertices())
+        for v in g.vertices():
+            assert coefficients[v] == local_clustering_coefficient(g, v)
+        values = [local_clustering_coefficient(g, v) for v in g.vertices()]
+        expected = sum(values) / len(values) if values else 0.0
+        assert average_clustering(g) == expected
+
+    @given(multigraphs())
+    @settings(max_examples=60, deadline=None)
+    def test_triangles_per_vertex_match_networkx(self, g):
+        simple = nx.Graph()
+        simple.add_nodes_from(g.vertices())
+        simple.add_edges_from((e.u, e.v) for e in g.edges() if e.u != e.v)
+        per_vertex = triangles_per_vertex(g)
+        assert per_vertex == nx.triangles(simple)
+        assert triangle_count(g) == sum(per_vertex.values()) // 3
+
+    @given(multigraphs(), st.booleans(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_pagerank_equals_per_row_push(self, g, weighted, data):
+        personalization = None
+        if g.num_vertices() and data.draw(st.booleans()):
+            seeds = data.draw(st.lists(st.sampled_from(list(g.vertices())),
+                                       min_size=1, unique=True))
+            personalization = {v: data.draw(st.floats(0.1, 5.0))
+                               for v in seeds}
+        ours = pagerank(g, weighted=weighted, personalization=personalization)
+        if not g.num_vertices():
+            assert ours == {}
+            return
+        theirs = reference_pagerank(g, weighted=weighted,
+                                    personalization=personalization)
+        assert list(ours) == list(theirs)
+        assert max(abs(ours[v] - theirs[v]) for v in ours) == 0.0
+
+    @given(multigraphs(weights=st.one_of(st.sampled_from([-1.0, 0.0, 2.0]),
+                                         st.floats(-10.0, 10.0))))
+    @settings(max_examples=60, deadline=None)
+    def test_csr_build_equals_row_sort(self, g):
+        csr = CSRGraph.from_graph(g)
+        indptr, indices, weights = reference_csr(g)
+        for got, want in ((csr.indptr, indptr), (csr.indices, indices),
+                          (csr.weights, weights)):
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+        assert csr.num_edges() == g.num_edges()
+
+    def test_average_clustering_builds_neighbor_sets_once(self, monkeypatch):
+        builds = []
+        build = aggregation._undirected_neighbor_sets
+
+        def counted(graph):
+            builds.append(graph)
+            return build(graph)
+
+        monkeypatch.setattr(aggregation, "_undirected_neighbor_sets",
+                            counted)
+        g = to_graph(nx.karate_club_graph())
+        average_clustering(g)
+        assert len(builds) == 1
+        builds.clear()
+        global_clustering(g)
+        assert len(builds) == 1
