@@ -111,47 +111,29 @@ def _query_literal(node: ast.Call) -> tuple[str, ast.expr] | None:
     return None
 
 
-def _fault_plan_literal(node: ast.Call) -> tuple[str, ast.expr] | None:
+#: (call suffix, checker) for every spec DSL whose ``X.parse("...")``
+#: string literals get the CFG checks.
+_SPEC_CHECKS: tuple[tuple[str, Callable[..., AnalysisReport]], ...] = (
+    ("FaultPlan.parse", check_fault_plan),
+    ("TrafficMix.parse", check_traffic_mix),
+    ("BreakerConfig.parse", check_breaker_config),
+    ("SLOSpec.parse", check_slo_spec),
+)
+
+
+def _spec_literal(node: ast.Call) -> tuple[
+        Callable[..., AnalysisReport], str, ast.expr] | None:
+    """(checker, spec text, literal node) when ``node`` parses a spec
+    DSL from a string literal."""
     dotted = dotted_name(node.func)
-    if dotted is None or not dotted.endswith("FaultPlan.parse"):
+    if dotted is None or not node.args:
         return None
-    if node.args:
-        text = const_str(node.args[0])
-        if text is not None:
-            return text, node.args[0]
-    return None
-
-
-def _traffic_mix_literal(node: ast.Call) -> tuple[str, ast.expr] | None:
-    dotted = dotted_name(node.func)
-    if dotted is None or not dotted.endswith("TrafficMix.parse"):
+    text = const_str(node.args[0])
+    if text is None:
         return None
-    if node.args:
-        text = const_str(node.args[0])
-        if text is not None:
-            return text, node.args[0]
-    return None
-
-
-def _breaker_literal(node: ast.Call) -> tuple[str, ast.expr] | None:
-    dotted = dotted_name(node.func)
-    if dotted is None or not dotted.endswith("BreakerConfig.parse"):
-        return None
-    if node.args:
-        text = const_str(node.args[0])
-        if text is not None:
-            return text, node.args[0]
-    return None
-
-
-def _slo_literal(node: ast.Call) -> tuple[str, ast.expr] | None:
-    dotted = dotted_name(node.func)
-    if dotted is None or not dotted.endswith("SLOSpec.parse"):
-        return None
-    if node.args:
-        text = const_str(node.args[0])
-        if text is not None:
-            return text, node.args[0]
+    for suffix, check in _SPEC_CHECKS:
+        if dotted.endswith(suffix):
+            return check, text, node.args[0]
     return None
 
 
@@ -280,31 +262,10 @@ def _scan_tree(
             continue
         if not isinstance(node, ast.Call):
             continue
-        fault_literal = _fault_plan_literal(node)
-        if fault_literal is not None:
-            text, literal = fault_literal
-            sub = _timed("config", check_fault_plan, text,
-                         file=file, line=literal.lineno)
-            report.findings.extend(sub.findings)
-            continue
-        mix_literal = _traffic_mix_literal(node)
-        if mix_literal is not None:
-            text, literal = mix_literal
-            sub = _timed("config", check_traffic_mix, text,
-                         file=file, line=literal.lineno)
-            report.findings.extend(sub.findings)
-            continue
-        breaker_literal = _breaker_literal(node)
-        if breaker_literal is not None:
-            text, literal = breaker_literal
-            sub = _timed("config", check_breaker_config, text,
-                         file=file, line=literal.lineno)
-            report.findings.extend(sub.findings)
-            continue
-        slo_literal = _slo_literal(node)
-        if slo_literal is not None:
-            text, literal = slo_literal
-            sub = _timed("config", check_slo_spec, text,
+        spec_literal = _spec_literal(node)
+        if spec_literal is not None:
+            check, text, literal = spec_literal
+            sub = _timed("config", check, text,
                          file=file, line=literal.lineno)
             report.findings.extend(sub.findings)
             continue

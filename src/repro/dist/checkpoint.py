@@ -8,21 +8,21 @@ the superstep before. Recovery is therefore a pure rewind — restore
 all shards and replay — which is what makes a recovered run
 byte-identical to a fault-free one.
 
-Integrity: every payload carries a content checksum
-(``sha256:<hex>`` over the canonical JSON of the rest of the payload),
-written at save time and verified on load by both stores. A checkpoint
-whose stored and recomputed checksums disagree — or whose serialized
-form no longer parses — raises :class:`CheckpointCorrupt`, which the
-recovery supervisor treats as "fall back to the previous checkpoint",
-never as good state.
+Integrity: every stored checkpoint carries a content checksum
+(``sha256:<hex>``), written at save time and verified on load by both
+stores. A checkpoint whose stored and recomputed checksums disagree —
+or whose stored form no longer parses as a checkpoint — raises
+:class:`CheckpointCorrupt`, which the recovery supervisor treats as
+"fall back to the previous checkpoint", never as good state.
 
 Two stores implement the pluggable interface:
 
-* :class:`InMemoryCheckpointStore` — deep-copied snapshots in the
-  coordinator's process; survives worker kills (the simulated failure
-  domain), not process death.
+* :class:`InMemoryCheckpointStore` — one pickled blob plus its sha256
+  per checkpoint, in the coordinator's process; survives worker kills
+  (the simulated failure domain), not process death.
 * :class:`JsonCheckpointStore` — one JSON file per checkpoint in a
-  directory; survives the process, at the cost of requiring vertex
+  directory, checksummed over the canonical JSON of the rest of the
+  payload; survives the process, at the cost of requiring vertex
   ids, messages and values to be JSON-representable (ints, strings,
   floats including ``inf``, lists, dicts). Saves are atomic
   (temp file + ``os.replace``), so a crash mid-save can never leave a
@@ -36,10 +36,10 @@ so long chaos runs don't accumulate unbounded checkpoints.
 
 from __future__ import annotations
 
-import copy
 import hashlib
 import json
 import os
+import pickle
 from dataclasses import dataclass
 from typing import Any
 
@@ -57,17 +57,15 @@ class CheckpointCorrupt(ReproError):
         self.superstep = superstep
 
 
-def payload_checksum(body: dict[str, Any]) -> str:
-    """``sha256:<hex>`` over the canonical JSON encoding of ``body``.
+def _digest(data: bytes) -> str:
+    return f"{CHECKSUM_ALGORITHM}:{hashlib.sha256(data).hexdigest()}"
 
-    ``sort_keys`` + compact separators make the encoding canonical;
-    ``default=repr`` lets the in-memory store checksum payloads whose
-    values are not JSON-representable.
-    """
-    encoded = json.dumps(body, sort_keys=True, separators=(",", ":"),
-                         default=repr)
-    digest = hashlib.sha256(encoded.encode("utf-8")).hexdigest()
-    return f"{CHECKSUM_ALGORITHM}:{digest}"
+
+def payload_checksum(body: dict[str, Any]) -> str:
+    """``sha256:<hex>`` over the canonical JSON encoding of ``body``
+    (``sort_keys`` + compact separators)."""
+    encoded = json.dumps(body, sort_keys=True, separators=(",", ":"))
+    return _digest(encoded.encode("utf-8"))
 
 
 @dataclass
@@ -141,100 +139,101 @@ class Checkpoint:
 class CheckpointStore:
     """Interface: persist checkpoints, hand back the latest on demand.
 
-    ``save`` returns the number of bytes persisted so the coordinator
-    can feed the ``dist.checkpoint_bytes`` counter. ``load`` /
-    ``load_latest`` must validate integrity and raise
+    A store implements ``save``, ``load``, ``supersteps``, ``discard``
+    and ``corrupt``; ``load_latest``, ``prune`` and ``clear`` are built
+    on those. ``save`` returns the number of bytes stored so the
+    coordinator can feed the ``dist.checkpoint_bytes`` counter.
+    ``load`` must validate integrity and raise
     :class:`CheckpointCorrupt` rather than return damaged state.
     """
 
     def save(self, checkpoint: Checkpoint) -> int:
         raise NotImplementedError
 
-    def load_latest(self) -> Checkpoint | None:
-        raise NotImplementedError
-
     def load(self, superstep: int) -> Checkpoint:
         raise NotImplementedError
 
     def supersteps(self) -> list[int]:
+        """Stored supersteps, oldest first."""
         raise NotImplementedError
 
-    def clear(self) -> None:
-        raise NotImplementedError
-
-    def prune(self, keep_last: int) -> list[int]:
-        """Drop all but the newest ``keep_last`` checkpoints; return
-        the supersteps that were removed."""
+    def discard(self, superstep: int) -> None:
+        """Drop one stored checkpoint; an absent one is not an error."""
         raise NotImplementedError
 
     def corrupt(self, superstep: int, mode: str = "garble") -> None:
         """Chaos hook: damage a stored checkpoint in place so the next
-        load fails integrity validation (``garble``) or parsing
-        (``truncate``). Simulation-only — never called on real data."""
+        load raises :class:`CheckpointCorrupt` (``garble`` alters the
+        content, ``truncate`` cuts it short). Simulation-only — never
+        called on real data."""
         raise NotImplementedError
 
+    def load_latest(self) -> Checkpoint | None:
+        saved = self.supersteps()
+        return self.load(saved[-1]) if saved else None
 
-def _validate_keep_last(keep_last: int) -> None:
-    if keep_last < 1:
-        raise ValueError("keep_last must be >= 1")
+    def prune(self, keep_last: int) -> list[int]:
+        """Drop all but the newest ``keep_last`` checkpoints; return
+        the supersteps that were removed."""
+        if keep_last < 1:
+            raise ValueError("keep_last must be >= 1")
+        dropped = self.supersteps()[:-keep_last]
+        for superstep in dropped:
+            self.discard(superstep)
+        return dropped
+
+    def clear(self) -> None:
+        for superstep in self.supersteps():
+            self.discard(superstep)
 
 
 class InMemoryCheckpointStore(CheckpointStore):
-    """Deep-copied snapshots keyed by superstep (the default store)."""
+    """One pickled blob plus its sha256 per superstep (the default
+    store).
+
+    Pickle takes any vertex, value or message type, keeps tuples as
+    tuples, and the stored bytes are immutable, so a saved snapshot is
+    isolated from later mutation of the live state. A value pickle
+    rejects (a lambda, say) therefore fails at ``save`` — the barrier —
+    rather than later at recovery. The blobs never leave this process,
+    so ``pickle.loads`` only ever sees bytes this store wrote.
+    """
 
     def __init__(self):
-        self._checkpoints: dict[int, Checkpoint] = {}
-        self._checksums: dict[int, str] = {}
+        self._blobs: dict[int, tuple[str, bytes]] = {}
 
     def save(self, checkpoint: Checkpoint) -> int:
-        snapshot = copy.deepcopy(checkpoint)
-        self._checkpoints[checkpoint.superstep] = snapshot
-        self._checksums[checkpoint.superstep] = payload_checksum(
-            snapshot.body())
-        # repr-length as the size estimate: works for any vertex /
-        # message type, close enough for the bytes counter.
-        return len(repr(snapshot.to_payload()))
-
-    def load_latest(self) -> Checkpoint | None:
-        if not self._checkpoints:
-            return None
-        return self.load(max(self._checkpoints))
+        blob = pickle.dumps(checkpoint, pickle.HIGHEST_PROTOCOL)
+        self._blobs[checkpoint.superstep] = (_digest(blob), blob)
+        return len(blob)
 
     def load(self, superstep: int) -> Checkpoint:
-        checkpoint = self._checkpoints[superstep]
-        computed = payload_checksum(checkpoint.body())
-        stored = self._checksums.get(superstep)
-        if stored is not None and computed != stored:
+        stored, blob = self._blobs[superstep]
+        computed = _digest(blob)
+        if computed != stored:
             raise CheckpointCorrupt(
                 f"in-memory checkpoint {superstep}: checksum mismatch "
                 f"(stored {stored}, computed {computed})",
                 superstep=superstep)
-        return copy.deepcopy(checkpoint)
+        return pickle.loads(blob)
 
     def supersteps(self) -> list[int]:
-        return sorted(self._checkpoints)
+        return sorted(self._blobs)
 
-    def clear(self) -> None:
-        self._checkpoints.clear()
-        self._checksums.clear()
-
-    def prune(self, keep_last: int) -> list[int]:
-        _validate_keep_last(keep_last)
-        ordered = sorted(self._checkpoints)
-        dropped = ordered[:-keep_last] if keep_last < len(ordered) else []
-        for superstep in dropped:
-            del self._checkpoints[superstep]
-            self._checksums.pop(superstep, None)
-        return dropped
+    def discard(self, superstep: int) -> None:
+        self._blobs.pop(superstep, None)
 
     def corrupt(self, superstep: int, mode: str = "garble") -> None:
-        checkpoint = self._checkpoints[superstep]
+        digest, blob = self._blobs[superstep]
         if mode == "truncate":
-            checkpoint.worker_states = checkpoint.worker_states[:-1]
+            blob = blob[:len(blob) // 2]
         elif mode == "garble":
-            checkpoint.previous_aggregates["__garbled__"] = "\x00"
+            middle = len(blob) // 2
+            blob = (blob[:middle] + bytes([blob[middle] ^ 0xFF])
+                    + blob[middle + 1:])
         else:
             raise ValueError(f"unknown corruption mode {mode!r}")
+        self._blobs[superstep] = (digest, blob)
 
 
 class JsonCheckpointStore(CheckpointStore):
@@ -265,56 +264,38 @@ class JsonCheckpointStore(CheckpointStore):
         os.replace(tmp_path, path)
         return len(encoded.encode("utf-8"))
 
-    def _saved(self) -> dict[int, str]:
-        found = {}
-        for name in os.listdir(self.directory):
-            if name.startswith("checkpoint-") and name.endswith(".json"):
-                try:
-                    found[int(name[len("checkpoint-"):-len(".json")])] = \
-                        os.path.join(self.directory, name)
-                except ValueError:
-                    continue
-        return found
-
-    def load_latest(self) -> Checkpoint | None:
-        saved = self._saved()
-        if not saved:
-            return None
-        return self.load(max(saved))
-
     def load(self, superstep: int) -> Checkpoint:
         path = self._path(superstep)
         try:
             with open(path, encoding="utf-8") as handle:
                 payload = json.load(handle)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
             raise CheckpointCorrupt(
                 f"checkpoint file {path} is not valid JSON "
                 f"(torn or truncated write?): {exc}",
                 superstep=superstep) from exc
-        return Checkpoint.from_payload(payload, where=path)
+        try:
+            return Checkpoint.from_payload(payload, where=path)
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise CheckpointCorrupt(
+                f"checkpoint file {path} is not a checkpoint payload: "
+                f"{exc!r}", superstep=superstep) from exc
 
     def supersteps(self) -> list[int]:
-        return sorted(self._saved())
+        found = []
+        for name in os.listdir(self.directory):
+            stem = name[len("checkpoint-"):-len(".json")]
+            # only names _path() writes, so load() finds every one listed
+            path = os.path.join(self.directory, name)
+            if stem.isdecimal() and path == self._path(int(stem)):
+                found.append(int(stem))
+        return sorted(found)
 
-    def clear(self) -> None:
-        for path in self._saved().values():
-            try:
-                os.remove(path)
-            except FileNotFoundError:
-                pass  # lost a race with another cleaner — already gone
-
-    def prune(self, keep_last: int) -> list[int]:
-        _validate_keep_last(keep_last)
-        saved = self._saved()
-        ordered = sorted(saved)
-        dropped = ordered[:-keep_last] if keep_last < len(ordered) else []
-        for superstep in dropped:
-            try:
-                os.remove(saved[superstep])
-            except FileNotFoundError:
-                pass
-        return dropped
+    def discard(self, superstep: int) -> None:
+        try:
+            os.remove(self._path(superstep))
+        except FileNotFoundError:
+            pass  # lost a race with another cleaner — already gone
 
     def corrupt(self, superstep: int, mode: str = "garble") -> None:
         path = self._path(superstep)

@@ -1,6 +1,8 @@
 """The sharded BSP runtime: partitioning, equivalence with the
 single-machine engine, checkpointing, fault injection, and recovery."""
 
+import pickle
+
 import pytest
 
 from repro import obs
@@ -23,11 +25,13 @@ from repro.dgps import (
 )
 from repro.dist import (
     Checkpoint,
+    CheckpointCorrupt,
     Coordinator,
     FaultPlan,
     InMemoryCheckpointStore,
     JsonCheckpointStore,
     Partitioner,
+    RecoverySupervisor,
     WorkerKilled,
     build_shard_map,
     hash_partition,
@@ -265,6 +269,61 @@ class TestCheckpointStores:
         assert store.save(checkpoint) > 0
         checkpoint.worker_states[0]["values"][1] = 999  # mutate after save
         assert store.load_latest().worker_states[0]["values"][1] == 0.5
+
+    def test_in_memory_store_keeps_any_python_state(self):
+        # the pickled blob keeps what the JSON store cannot: tuple ids,
+        # sets, inf, nested lists, and values shared between vertices
+        shared = [1.0, [2.0, 3.0]]
+        checkpoint = Checkpoint(
+            superstep=2,
+            worker_states=[{
+                "values": {(0, 1): shared, (1, 0): shared,
+                           (2, 2): float("inf")},
+                "halted": {(2, 2), (1, 0)},
+                "inbox": {(0, 1): [[0.5, [0.25]], (7, "x")]},
+            }],
+            previous_aggregates={"total": (1, 2)})
+        store = InMemoryCheckpointStore()
+        store.save(checkpoint)
+        loaded = store.load(2)
+        assert loaded == checkpoint
+        values = loaded.worker_states[0]["values"]
+        assert values[(0, 1)] is values[(1, 0)]
+        assert loaded.worker_states[0]["inbox"][(0, 1)][1] == (7, "x")
+        assert loaded.previous_aggregates["total"] == (1, 2)
+
+    def test_in_memory_save_returns_stored_bytes(self):
+        checkpoint = self._checkpoint()
+        written = InMemoryCheckpointStore().save(checkpoint)
+        assert written == len(
+            pickle.dumps(checkpoint, pickle.HIGHEST_PROTOCOL))
+
+    def test_in_memory_save_rejects_unpicklable_values(self):
+        """A value pickle rejects fails at ``save`` (the barrier), not
+        later at recovery; the store keeps nothing for that superstep.
+        Before checkpoints were pickled, such values saved and only
+        broke a JSON store."""
+        checkpoint = self._checkpoint()
+        checkpoint.worker_states[1]["values"][3] = lambda: None
+        store = InMemoryCheckpointStore()
+        with pytest.raises((pickle.PicklingError, AttributeError)):
+            store.save(checkpoint)
+        assert store.supersteps() == []
+
+    @pytest.mark.parametrize("mode", ["garble", "truncate"])
+    def test_in_memory_corruption_detected_and_skipped(self, mode):
+        store = InMemoryCheckpointStore()
+        older = self._checkpoint()
+        older.superstep = 0
+        store.save(older)
+        store.save(self._checkpoint())
+        store.corrupt(4, mode=mode)
+        with pytest.raises(CheckpointCorrupt, match="checksum mismatch"):
+            store.load(4)
+        checkpoint, event = RecoverySupervisor(store).recover(
+            WorkerKilled("w1", 4), expected_shards=2)
+        assert checkpoint.superstep == 0
+        assert event.corrupt_skipped == [4]
 
     def test_json_store_roundtrip(self, tmp_path):
         store = JsonCheckpointStore(tmp_path / "ckpt")

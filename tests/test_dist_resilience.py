@@ -382,6 +382,27 @@ class TestRecoverySupervisor:
         assert event.corrupt_skipped == [3]
         assert event.replayed == 3
 
+    @pytest.mark.parametrize("damage", [
+        b"\xff\xfe not utf-8",
+        b"[1, 2]",
+        b'{"superstep": 3}',  # legacy (no checksum) but incomplete
+        b'{"superstep": 3, "previous_aggregates": {}, "workers": [5]}',
+    ], ids=["non-utf8", "not-an-object", "legacy-missing-keys",
+            "legacy-bad-worker"])
+    def test_damaged_json_latest_falls_back(self, tmp_path, damage):
+        store = JsonCheckpointStore(tmp_path / "ckpt")
+        store.save(self._checkpoint(0))
+        store.save(self._checkpoint(3))
+        path = os.path.join(store.directory, "checkpoint-000003.json")
+        with open(path, "wb") as handle:
+            handle.write(damage)
+        with pytest.raises(CheckpointCorrupt, match="checkpoint-000003"):
+            store.load(3)
+        checkpoint, event = RecoverySupervisor(store).recover(
+            WorkerKilled("w1", 3), expected_shards=2)
+        assert checkpoint.superstep == 0
+        assert event.corrupt_skipped == [3]
+
     def test_all_corrupt_escalates(self):
         store = InMemoryCheckpointStore()
         store.save(self._checkpoint(0))
