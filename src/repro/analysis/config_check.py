@@ -1,37 +1,42 @@
-"""CFG rules: FaultPlan and bench-case configs as pure checkers.
+"""CFG rules: config literals and bench cases as pure checkers.
 
-Both configs already have parsers/validators at their point of use —
-:meth:`repro.dist.faults.FaultPlan.parse` and
-:meth:`repro.obs.bench.BenchSuite.add` — but those fire mid-run, after
-the expensive work started. Re-using them here turns the same logic
-into a pre-flight check that reports ``file:line`` findings instead of
-raising from inside a coordinator or a bench sweep.
+Every config already has a parser or validator at its point of use,
+but those fire mid-run, after the expensive work started. Re-using
+them here turns the same logic into a pre-flight check that reports
+``file:line`` findings instead of raising from inside a coordinator,
+a load test, an armed server or a bench sweep.
 
-* **CFG001** — a fault-plan spec string fails to parse;
+The spec DSLs share one table, :data:`SPEC_RULES`: a call suffix
+(``"TrafficMix.parse"``), the rule id a failed parse reports, and the
+parser, imported only when a literal is checked. The scanner lints
+every ``X.parse("...")`` string literal whose call matches a suffix;
+the public ``check_*`` functions run the same :func:`check_spec` on a
+string with a default ``file`` label.
+
+* **CFG001** — a :class:`~repro.dist.faults.FaultPlan` spec fails to
+  parse;
 * **CFG002** — a fault plan schedules two faults for the same
   worker/superstep slot (previously last-write-wins silent);
 * **CFG003** — a bench case is malformed (callable takes required
   arguments, or params are not JSON-serializable for the artifact);
 * **CFG004** — a bench case's ``baseline_case`` names an unregistered
   case;
-* **CFG005** — a traffic-mix spec string is invalid (unknown op name,
-  negative weight, or weights that do not sum to 1) — the
-  :meth:`repro.serve.traffic.TrafficMix.parse` validation as a
-  pre-flight instead of a mid-load-test failure;
-* **CFG006** — an SLO spec string is invalid (bad grammar, unknown
-  request op, non-positive latency threshold, or a target outside
-  (0, 1]) — the :meth:`repro.obs.slo.SLOSpec.parse` validation before
-  a monitor ever evaluates it;
-* **CFG007** — a circuit-breaker/deadline config literal is invalid
-  (unknown key, non-numeric value, out-of-range threshold or window)
-  — the :meth:`repro.serve.resilience.BreakerConfig.parse` validation
-  as a pre-flight instead of a boot-time failure of the armed server.
+* **CFG005** — a :class:`~repro.serve.traffic.TrafficMix` literal is
+  invalid (unknown or repeated op, non-numeric or negative weight, or
+  weights that do not sum to 1);
+* **CFG006** — an :class:`~repro.obs.slo.SLOSpec` literal is invalid
+  (bad grammar, unknown request op, non-positive latency threshold,
+  or a target outside (0, 1]);
+* **CFG007** — a :class:`~repro.serve.resilience.BreakerConfig`
+  literal is invalid (unknown or repeated key, non-numeric value,
+  out-of-range threshold or window).
 """
 
 from __future__ import annotations
 
 import inspect
 import json
+from importlib import import_module
 from typing import TYPE_CHECKING
 
 from repro.analysis.findings import AnalysisReport, Severity
@@ -42,7 +47,7 @@ if TYPE_CHECKING:
     from repro.obs.bench import BenchSuite
 
 #: bumped whenever rule behavior changes; keys the scan-result cache.
-RULE_VERSION = "1"
+RULE_VERSION = "2"
 
 register_rule(
     "CFG001", "config", Severity.ERROR,
@@ -68,23 +73,54 @@ register_rule(
     "threshold, or target outside (0, 1])")
 register_rule(
     "CFG007", "config", Severity.ERROR,
-    "breaker/deadline config is invalid (unknown key, non-numeric "
+    "breaker config is invalid (unknown key, non-numeric "
     "value, or out-of-range window/threshold/probes/cooldown)")
+
+
+#: Every spec DSL whose literals get a CFG rule: call suffix -> (rule
+#: id, module, class). The scanner lints each ``X.parse("...")``
+#: string literal whose call ends in a suffix, and the ``check_*``
+#: functions below are the same check under a default ``file``
+#: label. The parser is imported only when a literal is checked, so
+#: the analysis layer never drags the serving stack in unasked.
+SPEC_RULES: dict[str, tuple[str, str, str]] = {
+    "FaultPlan.parse": ("CFG001", "repro.dist.faults", "FaultPlan"),
+    "TrafficMix.parse": ("CFG005", "repro.serve.traffic", "TrafficMix"),
+    "SLOSpec.parse": ("CFG006", "repro.obs.slo", "SLOSpec"),
+    "BreakerConfig.parse": ("CFG007", "repro.serve.resilience",
+                            "BreakerConfig"),
+}
+
+
+def check_spec(suffix: str, spec: str, *, file: str,
+               line: int = 0) -> AnalysisReport:
+    """Parse ``spec`` with the parser registered for ``suffix`` and
+    report a failure under its rule id.
+
+    A fault plan's duplicate-slot error is CFG002 rather than CFG001,
+    and a plan that parses still gets the
+    :func:`check_fault_plan_object` pass.
+    """
+    rule_id, module, name = SPEC_RULES[suffix]
+    report = AnalysisReport()
+    report.note_target(file)
+    try:
+        parsed = getattr(import_module(module), name).parse(spec)
+    except ValueError as error:
+        if rule_id == "CFG001" and "duplicate" in str(error):
+            rule_id = "CFG002"
+        report.add(finding(rule_id, str(error), file=file, line=line))
+        return report
+    if isinstance(parsed, FaultPlan):
+        report.extend(check_fault_plan_object(parsed, file=file,
+                                              line=line))
+    return report
 
 
 def check_fault_plan(spec: str, *, file: str = "<fault-plan>",
                      line: int = 0) -> AnalysisReport:
     """Validate a fault-plan DSL string without arming anything."""
-    report = AnalysisReport()
-    report.note_target(file)
-    try:
-        plan = FaultPlan.parse(spec)
-    except ValueError as error:
-        rule_id = "CFG002" if "duplicate" in str(error) else "CFG001"
-        report.add(finding(rule_id, str(error), file=file, line=line))
-        return report
-    report.extend(check_fault_plan_object(plan, file=file, line=line))
-    return report
+    return check_spec("FaultPlan.parse", spec, file=file, line=line)
 
 
 def check_fault_plan_object(plan: FaultPlan, *,
@@ -105,53 +141,22 @@ def check_traffic_mix(spec: str, *, file: str = "<traffic-mix>",
                       line: int = 0) -> AnalysisReport:
     """Validate a ``read=0.7,write=0.2,algo=0.1`` traffic-mix string
     without booting a server or generating load."""
-    # Imported lazily: repro.serve imports repro.graphdb and
-    # repro.workloads; the analysis layer must stay importable
-    # without dragging the whole serving stack in.
-    from repro.serve.traffic import TrafficMix
-
-    report = AnalysisReport()
-    report.note_target(file)
-    try:
-        TrafficMix.parse(spec)
-    except ValueError as error:
-        report.add(finding("CFG005", str(error), file=file, line=line))
-    return report
+    return check_spec("TrafficMix.parse", spec, file=file, line=line)
 
 
 def check_slo_spec(spec: str, *, file: str = "<slo>",
                    line: int = 0) -> AnalysisReport:
     """Validate one ``latency:OP<Nms@T`` / ``errors:OP@T`` SLO literal
     without standing up a monitor."""
-    # Lazy for symmetry with check_traffic_mix — repro.obs.slo is
-    # light, but the analysis layer imports nothing it is not asked
-    # to check.
-    from repro.obs.slo import SLOSpec
-
-    report = AnalysisReport()
-    report.note_target(file)
-    try:
-        SLOSpec.parse(spec)
-    except ValueError as error:
-        report.add(finding("CFG006", str(error), file=file, line=line))
-    return report
+    return check_spec("SLOSpec.parse", spec, file=file, line=line)
 
 
 def check_breaker_config(spec: str, *, file: str = "<breaker>",
                          line: int = 0) -> AnalysisReport:
     """Validate a ``window=20,threshold=0.5,...`` breaker literal
-    (optionally carrying ``deadline_ms``) without arming a breaker."""
-    # Lazy for the same reason as check_traffic_mix: the serve stack
-    # is only imported when a breaker literal is actually checked.
-    from repro.serve.resilience import BreakerConfig
-
-    report = AnalysisReport()
-    report.note_target(file)
-    try:
-        BreakerConfig.parse(spec)
-    except ValueError as error:
-        report.add(finding("CFG007", str(error), file=file, line=line))
-    return report
+    without arming a breaker."""
+    return check_spec("BreakerConfig.parse", spec, file=file,
+                      line=line)
 
 
 def check_bench_cases(suite: "BenchSuite") -> AnalysisReport:

@@ -6,12 +6,10 @@ and runs the matching rule families:
 * functions following the vertex-program calling convention (a single
   ``ctx``/``context`` or ``VertexContext``-annotated parameter) get
   the DET determinism and CKPT checkpoint-safety lints;
-* ``FaultPlan.parse("...")`` string literals get the CFG fault-plan
-  checks (including duplicate-slot rejection);
-* ``TrafficMix.parse("...")`` string literals get the CFG005
-  traffic-mix checks (known op names, weights summing to 1);
-* ``BreakerConfig.parse("...")`` string literals get the CFG007
-  breaker/deadline checks (known keys, in-range window/threshold);
+* ``FaultPlan.parse("...")``, ``TrafficMix.parse("...")``,
+  ``SLOSpec.parse("...")`` and ``BreakerConfig.parse("...")`` string
+  literals get the CFG spec checks listed in
+  :data:`~repro.analysis.config_check.SPEC_RULES`;
 * ``run_query(graph, "...")`` / ``repro.query.parse("...")`` string
   literals get the QRY parse + unbound-variable checks (schema-aware
   checks need a live :class:`~repro.graphs.schema.GraphSchema`, so
@@ -50,12 +48,6 @@ from repro.analysis.astutils import (
 )
 from repro.analysis.findings import AnalysisReport, Finding, Severity
 from repro.analysis.query_check import check_query
-from repro.analysis.config_check import (
-    check_breaker_config,
-    check_fault_plan,
-    check_slo_spec,
-    check_traffic_mix,
-)
 from repro.analysis.registry import finding, register_rule
 from repro.analysis.suppressions import (
     Suppression,
@@ -111,29 +103,18 @@ def _query_literal(node: ast.Call) -> tuple[str, ast.expr] | None:
     return None
 
 
-#: (call suffix, checker) for every spec DSL whose ``X.parse("...")``
-#: string literals get the CFG checks.
-_SPEC_CHECKS: tuple[tuple[str, Callable[..., AnalysisReport]], ...] = (
-    ("FaultPlan.parse", check_fault_plan),
-    ("TrafficMix.parse", check_traffic_mix),
-    ("BreakerConfig.parse", check_breaker_config),
-    ("SLOSpec.parse", check_slo_spec),
-)
-
-
-def _spec_literal(node: ast.Call) -> tuple[
-        Callable[..., AnalysisReport], str, ast.expr] | None:
-    """(checker, spec text, literal node) when ``node`` parses a spec
-    DSL from a string literal."""
+def _spec_literal(node: ast.Call) -> tuple[str, str, ast.expr] | None:
+    """(call suffix, spec text, literal node) when ``node`` parses a
+    spec DSL from a string literal."""
     dotted = dotted_name(node.func)
     if dotted is None or not node.args:
         return None
     text = const_str(node.args[0])
     if text is None:
         return None
-    for suffix, check in _SPEC_CHECKS:
+    for suffix in config_check.SPEC_RULES:
         if dotted.endswith(suffix):
-            return check, text, node.args[0]
+            return suffix, text, node.args[0]
     return None
 
 
@@ -264,9 +245,9 @@ def _scan_tree(
             continue
         spec_literal = _spec_literal(node)
         if spec_literal is not None:
-            check, text, literal = spec_literal
-            sub = _timed("config", check, text,
-                         file=file, line=literal.lineno)
+            suffix, text, literal = spec_literal
+            sub = _timed("config", config_check.check_spec, suffix,
+                         text, file=file, line=literal.lineno)
             report.findings.extend(sub.findings)
             continue
         query_literal = _query_literal(node)

@@ -35,7 +35,7 @@ import tempfile
 from typing import Any, Callable
 
 from repro import obs
-from repro.dgps.algorithms import connected_components_spec, pagerank_spec
+from repro.dgps.algorithms import pagerank_spec
 from repro.dist.checkpoint import (
     CheckpointStore,
     InMemoryCheckpointStore,
@@ -43,9 +43,9 @@ from repro.dist.checkpoint import (
 )
 from repro.dist.coordinator import run_distributed_pregel
 from repro.dist.faults import FaultPlan
+from repro.dist.report import _spec_for
 from repro.dist.resilience import RetryPolicy
 from repro.generators import gnm_random_graph
-from repro.graphs.adjacency import Graph
 
 #: fault classes the schedule generator samples from.
 FAULT_KINDS = ("kill", "flaky", "drop", "duplicate", "slow", "corrupt")
@@ -101,14 +101,6 @@ def generate_schedule(rng: random.Random, supersteps: int, k: int,
                 mode=rng.choice(("garble", "truncate")))
             plan.kill(worker, at_superstep=superstep)
     return plan
-
-
-def _spec_for(algorithm: str, graph: Graph, supersteps: int):
-    if algorithm == "pagerank":
-        return pagerank_spec(graph, supersteps=supersteps)
-    if algorithm == "components":
-        return connected_components_spec(graph)
-    raise ValueError(f"unknown algorithm {algorithm!r}")
 
 
 def _counter_deltas(before: dict[str, float]) -> dict[str, float]:

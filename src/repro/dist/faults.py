@@ -37,6 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import ReproError
+from repro.spec_literals import format_number
 
 
 class InjectedFault(ReproError):
@@ -125,7 +126,8 @@ class SlowFault:
     delay_ms: float = 25.0
 
     def __str__(self) -> str:
-        return f"{self.worker}@{self.superstep}+{self.delay_ms:g}ms"
+        return (f"{self.worker}@{self.superstep}"
+                f"+{format_number(self.delay_ms)}ms")
 
 
 @dataclass(frozen=True)
@@ -413,6 +415,10 @@ class FaultPlan:
         """Re-arm every fault (for reusing a plan across runs)."""
         self._fire_counts.clear()
 
+    def render(self) -> str:
+        """The canonical spec this plan round-trips through
+        (``parse(plan.render()).faults == plan.faults``)."""
+        return ", ".join(str(f) for f in self._faults)
+
     def __repr__(self) -> str:
-        parts = ", ".join(str(f) for f in self._faults) or "no faults"
-        return f"FaultPlan({parts})"
+        return f"FaultPlan({self.render() or 'no faults'})"

@@ -32,12 +32,15 @@ SLOs count every request.
 
 from __future__ import annotations
 
+import math
 import re
 import threading
 import time
 from collections import deque
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Sequence
+
+from repro.spec_literals import format_number
 
 #: Serve request ops a spec may target (``*`` matches any op).
 KNOWN_OPS = ("query", "mutate", "algorithm", "create", "delete", "*")
@@ -49,10 +52,12 @@ DEFAULT_WINDOWS: tuple[float, ...] = (60.0, 300.0)
 #: Schema tag on :meth:`SLOMonitor.evaluate` payloads.
 SLO_SCHEMA = "repro.obs.slo/v1"
 
+# Numbers may carry an exponent: ``render`` writes ``1e-05``.
 _LATENCY = re.compile(
-    r"^latency:(?P<op>[\w*]+)<(?P<threshold>[0-9.]+)ms"
-    r"@(?P<target>[0-9.]+)$")
-_ERRORS = re.compile(r"^errors:(?P<op>[\w*]+)@(?P<target>[0-9.]+)$")
+    r"^latency:(?P<op>[\w*]+)<(?P<threshold>[0-9.eE+-]+)ms"
+    r"@(?P<target>[0-9.eE+-]+)$")
+_ERRORS = re.compile(
+    r"^errors:(?P<op>[\w*]+)@(?P<target>[0-9.eE+-]+)$")
 
 
 @dataclass(frozen=True)
@@ -77,10 +82,11 @@ class SLOSpec:
             raise ValueError(
                 f"SLO target {self.target} must be in (0, 1]")
         if self.kind == "latency":
-            if self.threshold_ms is None or self.threshold_ms <= 0:
+            if (self.threshold_ms is None
+                    or not 0 < self.threshold_ms < math.inf):
                 raise ValueError(
                     f"latency SLO threshold {self.threshold_ms!r} "
-                    f"must be > 0 ms")
+                    f"must be > 0 ms and finite")
         elif self.threshold_ms is not None:
             raise ValueError("errors SLO takes no latency threshold")
 
@@ -105,9 +111,9 @@ class SLOSpec:
 
     def render(self) -> str:
         """The canonical literal form (parse round-trips it)."""
-        target = format(self.target, "g")
+        target = format_number(self.target)
         if self.kind == "latency":
-            threshold = format(self.threshold_ms, "g")
+            threshold = format_number(self.threshold_ms)
             return f"latency:{self.op}<{threshold}ms@{target}"
         return f"errors:{self.op}@{target}"
 

@@ -40,11 +40,12 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from typing import Any, Callable
 
 from repro.obs import get_registry, is_enabled
 from repro.serve.errors import BreakerOpen
+from repro.spec_literals import format_number, parse_pairs
 
 #: Breaker states (plain strings: they appear verbatim in stats
 #: payloads, chaos reports, and test assertions).
@@ -57,26 +58,15 @@ HALF_OPEN = "half_open"
 DEFAULT_BREAKER = ("window=20,threshold=0.5,min_requests=5,"
                    "probes=2,cooldown_s=5")
 
-#: Config fields parsed as integers; the rest are floats.
-_INT_FIELDS = frozenset({"window", "min_requests", "probes"})
-
-
 @dataclass(frozen=True)
 class BreakerConfig:
-    """Tuning knobs for one :class:`CircuitBreaker` (validated).
-
-    ``deadline_ms`` is an optional companion knob: services that mint
-    a default execution budget per request carry it in the same
-    literal so one CFG007-linted string describes the whole
-    resilience policy.
-    """
+    """Tuning knobs for one :class:`CircuitBreaker` (validated)."""
 
     window: int = 20
     threshold: float = 0.5
     min_requests: int = 5
     probes: int = 2
     cooldown_s: float = 5.0
-    deadline_ms: float | None = None
 
     def __post_init__(self):
         if self.window < 1:
@@ -95,60 +85,28 @@ class BreakerConfig:
         if self.cooldown_s <= 0:
             raise ValueError(
                 f"cooldown_s must be > 0, got {self.cooldown_s}")
-        if self.deadline_ms is not None and self.deadline_ms <= 0:
-            raise ValueError(
-                f"deadline_ms must be > 0, got {self.deadline_ms}")
 
     @classmethod
     def parse(cls, spec: str) -> "BreakerConfig":
         """Parse a ``key=value,key=value`` literal.
 
-        Unknown keys and non-numeric values raise :class:`ValueError`
-        with the offending token, so the CFG007 rule (and a 400 at the
-        serve edge) can point at the exact mistake.
+        Unknown or repeated keys and non-numeric values raise
+        :class:`ValueError` with the offending token, so the CFG007
+        rule (and a 400 at the serve edge) can point at the exact
+        mistake.
         """
-        if not isinstance(spec, str) or not spec.strip():
-            raise ValueError("breaker config must be a non-empty "
-                             "string of key=value pairs")
-        known = {f.name for f in fields(cls)}
-        values: dict[str, Any] = {}
-        for token in spec.split(","):
-            token = token.strip()
-            if not token:
-                continue
-            if "=" not in token:
-                raise ValueError(
-                    f"bad breaker config token {token!r}: expected "
-                    f"key=value")
-            key, _, raw = token.partition("=")
-            key = key.strip()
-            raw = raw.strip()
-            if key not in known:
-                raise ValueError(
-                    f"unknown breaker config key {key!r}; known: "
-                    f"{sorted(known)}")
-            if key in values:
-                raise ValueError(
-                    f"duplicate breaker config key {key!r}")
-            try:
-                values[key] = (int(raw) if key in _INT_FIELDS
-                               else float(raw))
-            except ValueError:
-                raise ValueError(
-                    f"bad breaker config value {raw!r} for "
-                    f"{key!r}: expected a number") from None
-        return cls(**values)
+        # Each key converts like its default: ``int`` or ``float``.
+        return cls(**parse_pairs(
+            spec, {f.name: type(f.default) for f in fields(cls)},
+            what="breaker config key"))
 
     def render(self) -> str:
         """The canonical literal this config round-trips through."""
-        parts = [f"window={self.window}",
-                 f"threshold={self.threshold:g}",
-                 f"min_requests={self.min_requests}",
-                 f"probes={self.probes}",
-                 f"cooldown_s={self.cooldown_s:g}"]
-        if self.deadline_ms is not None:
-            parts.append(f"deadline_ms={self.deadline_ms:g}")
-        return ",".join(parts)
+        return (f"window={self.window},"
+                f"threshold={format_number(self.threshold)},"
+                f"min_requests={self.min_requests},"
+                f"probes={self.probes},"
+                f"cooldown_s={format_number(self.cooldown_s)}")
 
 
 class CircuitBreaker:
@@ -344,9 +302,3 @@ class BreakerBoard:
             breakers = dict(self._breakers)
         return {op: b.stats() for op, b in sorted(breakers.items())}
 
-
-def with_deadline(config: BreakerConfig,
-                  deadline_ms: float | None) -> BreakerConfig:
-    """A copy of ``config`` carrying ``deadline_ms`` (the serve edge
-    folds its default budget into the rendered policy literal)."""
-    return replace(config, deadline_ms=deadline_ms)

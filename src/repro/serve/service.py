@@ -159,10 +159,7 @@ class GraphService:
         #: Execution budget minted per request when the transport did
         #: not adopt one from ``X-Repro-Deadline-Ms``. ``None`` (the
         #: default) leaves execution unbounded, matching pre-deadline
-        #: behavior. A ``deadline_ms`` in the breaker config literal
-        #: applies when the explicit kwarg is absent.
-        if default_deadline_ms is None:
-            default_deadline_ms = self.breakers.config.deadline_ms
+        #: behavior.
         self.default_deadline_ms = default_deadline_ms
         #: Fault-injection hook (see :mod:`repro.serve.chaos`): an
         #: object with ``apply(op, sp)`` / ``kill_plan()``, consulted

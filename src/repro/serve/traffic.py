@@ -39,6 +39,8 @@ from urllib.parse import urlsplit
 from repro.dist.resilience import RetryPolicy
 from repro.obs.slo import evaluate_samples
 from repro.obs.trace_context import TRACE_HEADER
+from repro.serve.chaos import CHAOS_HEADER
+from repro.spec_literals import format_number, parse_pairs
 
 #: Client-side connection retries share the recovery layer's
 #: RetryPolicy (exponential backoff + cap); the jitter fraction
@@ -92,29 +94,17 @@ class TrafficMix:
 
     @classmethod
     def parse(cls, text: str) -> "TrafficMix":
-        """Parse ``"read=0.7,write=0.2,algo=0.1"``; unknown op names,
-        negative weights, and weights not summing to 1 are errors."""
-        weights = dict.fromkeys(MIX_OPS, 0.0)
-        for part in text.split(","):
-            part = part.strip()
-            if not part:
-                continue
-            name, sep, value = part.partition("=")
-            name = name.strip()
-            if not sep:
-                raise ValueError(
-                    f"mix entry {part!r} is not of the form op=weight")
-            if name not in MIX_OPS:
-                raise ValueError(
-                    f"unknown traffic op {name!r}; known: "
-                    f"{list(MIX_OPS)}")
-            try:
-                weights[name] = float(value)
-            except ValueError:
-                raise ValueError(
-                    f"mix weight for {name!r} is not a number: "
-                    f"{value!r}") from None
-        return cls(**weights)
+        """Parse ``"read=0.7,write=0.2,algo=0.1"``; unknown or repeated
+        op names, negative weights, and weights not summing to 1 are
+        errors. Ops left out weigh 0."""
+        weights = parse_pairs(text, dict.fromkeys(MIX_OPS, float),
+                              what="traffic op")
+        return cls(**{op: weights.get(op, 0.0) for op in MIX_OPS})
+
+    def render(self) -> str:
+        """The canonical literal this mix round-trips through."""
+        return ",".join(f"{op}={format_number(getattr(self, op))}"
+                        for op in MIX_OPS)
 
     def as_weights(self) -> list[float]:
         return [getattr(self, op) for op in MIX_OPS]
@@ -248,15 +238,74 @@ def _entry_request(graph_id: str,
             payload)
 
 
-def _percentile(latencies: list[float], q: float) -> float:
-    """Exact nearest-rank percentile over raw samples (the client has
-    every observation, so no bucket interpolation is needed)."""
-    if not latencies:
-        return 0.0
+def latency_percentiles(latencies: list[float]) -> dict[str, float]:
+    """Exact nearest-rank p50/p95/p99 in ms over raw samples (the
+    client has every observation, so no bucket interpolation is
+    needed); all 0.0 without samples."""
     ordered = sorted(latencies)
-    rank = max(0, min(len(ordered) - 1,
-                      round(q / 100.0 * (len(ordered) - 1))))
-    return ordered[rank]
+    last = len(ordered) - 1
+    return {f"p{q}": (round(ordered[round(q / 100.0 * last)], 3)
+                      if ordered else 0.0)
+            for q in (50, 95, 99)}
+
+
+def replay(url: str, plan: list[list[dict[str, Any]]], *, seed: int,
+           graph_id: str) -> tuple[list[dict[str, Any]], float]:
+    """Host the product graph as ``graph_id`` on ``url`` (reusing it
+    when already hosted), then replay ``plan`` with one keep-alive
+    :class:`ServeClient` thread per schedule.
+
+    An entry carrying ``"chaos"`` sends it as the ``X-Repro-Chaos``
+    header. Returns one row per request — ``op``, ``status``,
+    ``latency_ms``, ``cache``, ``stale`` and ``trace_id`` — in
+    completion order, plus the wall time of the replay in seconds.
+    """
+    admin = ServeClient(url)
+    try:
+        status, _ = admin.request(
+            "POST", "/graphs",
+            {"graph_id": graph_id, "scenario": "product", "seed": seed})
+    finally:
+        admin.close()
+    if status not in (201, 409):  # 409: already hosted — reuse
+        raise RuntimeError(
+            f"could not host graph {graph_id!r}: HTTP {status}")
+
+    rows: list[dict[str, Any]] = []
+    rows_lock = threading.Lock()
+
+    def worker(index: int, schedule: list[dict[str, Any]]) -> None:
+        client = ServeClient(
+            url, rng=random.Random(seed * 2000003 + index))
+        local: list[dict[str, Any]] = []
+        try:
+            for entry in schedule:
+                method, path, payload = _entry_request(graph_id, entry)
+                headers = ({CHAOS_HEADER: entry["chaos"]}
+                           if "chaos" in entry else None)
+                start = time.perf_counter()
+                code, body = client.request(method, path, payload,
+                                            headers=headers)
+                elapsed_ms = (time.perf_counter() - start) * 1000.0
+                local.append({"op": entry["op"], "status": code,
+                              "latency_ms": elapsed_ms,
+                              "cache": body.get("cache"),
+                              "stale": bool(body.get("stale")),
+                              "trace_id": client.last_trace_id})
+        finally:
+            client.close()
+        with rows_lock:
+            rows.extend(local)
+
+    threads = [threading.Thread(target=worker, args=(i, schedule),
+                                name=f"replay-{i}")
+               for i, schedule in enumerate(plan)]
+    wall_start = time.perf_counter()
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    return rows, time.perf_counter() - wall_start
 
 
 def run_traffic(url: str | None = None, *, seed: int = 7,
@@ -283,52 +332,16 @@ def run_traffic(url: str | None = None, *, seed: int = 7,
         url = handle.base_url
     try:
         admin = ServeClient(url)
-        status, _ = admin.request(
-            "POST", "/graphs",
-            {"graph_id": graph_id, "scenario": "product",
-             "seed": seed})
-        if status not in (201, 409):  # 409: already hosted — reuse
-            raise RuntimeError(
-                f"could not host traffic graph: HTTP {status}")
-        # Snapshot counters *before* the run: against a long-lived
-        # server the absolute values include pre-run traffic, so the
-        # report works in deltas.
-        _, metrics_before = admin.request("GET", "/metrics")
-
-        results: list[dict[str, Any]] = []
-        results_lock = threading.Lock()
-
-        def worker(index: int,
-                   schedule: list[dict[str, Any]]) -> None:
-            client = ServeClient(
-                url, rng=random.Random(seed * 2000003 + index))
-            local: list[dict[str, Any]] = []
-            for entry in schedule:
-                method, path, payload = _entry_request(graph_id,
-                                                       entry)
-                start = time.perf_counter()
-                status, body = client.request(method, path, payload)
-                elapsed_ms = (time.perf_counter() - start) * 1000.0
-                local.append({"op": entry["op"], "status": status,
-                              "latency_ms": elapsed_ms,
-                              "cache": body.get("cache"),
-                              "trace_id": client.last_trace_id})
-            client.close()
-            with results_lock:
-                results.extend(local)
-
-        threads = [threading.Thread(target=worker, args=(i, schedule),
-                                    name=f"traffic-{i}")
-                   for i, schedule in enumerate(plan)]
-        wall_start = time.perf_counter()
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        wall_s = time.perf_counter() - wall_start
-
-        _, metrics_after = admin.request("GET", "/metrics")
-        admin.close()
+        try:
+            # Snapshot counters *before* the run: against a long-lived
+            # server the absolute values include pre-run traffic, so
+            # the report works in deltas.
+            _, metrics_before = admin.request("GET", "/metrics")
+            results, wall_s = replay(url, plan, seed=seed,
+                                     graph_id=graph_id)
+            _, metrics_after = admin.request("GET", "/metrics")
+        finally:
+            admin.close()
         return _report(results, wall_s, metrics_before, metrics_after,
                        seed=seed, clients=clients, requests=requests,
                        mix=mix, slos=slos)
@@ -379,11 +392,7 @@ def _report(results: list[dict[str, Any]], wall_s: float,
         "errors": errors,
         "wall_s": round(wall_s, 4),
         "throughput_rps": round(total / wall_s, 2) if wall_s else 0.0,
-        "latency_ms": {
-            "p50": round(_percentile(latencies, 50), 3),
-            "p95": round(_percentile(latencies, 95), 3),
-            "p99": round(_percentile(latencies, 99), 3),
-        },
+        "latency_ms": latency_percentiles(latencies),
         "shed_rate": round(shed / total, 4) if total else 0.0,
         "cache": {
             "hits": hits,
@@ -397,7 +406,7 @@ def _report(results: list[dict[str, Any]], wall_s: float,
 
 def render_report(report: dict[str, Any]) -> str:
     lat = report["latency_ms"]
-    mix = ",".join(f"{op}={w}" for op, w in report["mix"].items())
+    mix = TrafficMix(**report["mix"]).render()
     lines = [
         f"traffic seed={report['seed']} clients={report['clients']} "
         f"x {report['requests_per_client']} requests  mix {mix}",

@@ -31,6 +31,7 @@ from repro.serve.chaos import (
     ChaosDirective,
     ChaosInjector,
     InjectedServeFault,
+    _planned_faults,
     chaos_scope,
     plan_chaos,
     run_serve_chaos,
@@ -196,12 +197,6 @@ class TestBreakerConfig:
                "cooldown_s=5"
         config = BreakerConfig.parse(spec)
         assert BreakerConfig.parse(config.render()) == config
-
-    def test_deadline_folds_into_the_literal(self):
-        config = BreakerConfig.parse(
-            "window=10,threshold=0.3,deadline_ms=500")
-        assert config.deadline_ms == 500.0
-        assert "deadline_ms=500" in config.render()
 
     @pytest.mark.parametrize("bad", [
         "window=0",
@@ -477,6 +472,15 @@ class TestChaosPlanning:
         assert once == again
         other_run = plan_chaos(base, seed=7, run=1)
         assert schedule_digest([once]) != schedule_digest([other_run])
+
+    def test_plan_is_pinned(self):
+        # A formatter or replay change must not move the seeded plan.
+        base = build_schedule(7, 6, 20,
+                              TrafficMix(read=0.5, write=0.2, algo=0.3))
+        plans = [plan_chaos(base, seed=7, run=run) for run in range(3)]
+        assert schedule_digest(plans) == "eda81663132f34a9"
+        assert _planned_faults(plans) == {
+            "error": 38, "delay": 34, "drip": 7, "kill": 2}
 
     def test_kills_only_target_distributed_algos(self):
         mix = TrafficMix(read=0.0, write=0.0, algo=1.0)

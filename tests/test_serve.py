@@ -60,6 +60,10 @@ class TestTrafficMix:
         with pytest.raises(ValueError, match="unknown traffic op"):
             TrafficMix.parse("read=0.5,frobnicate=0.5")
 
+    def test_duplicate_op_rejected(self):
+        with pytest.raises(ValueError, match="duplicate traffic op"):
+            TrafficMix.parse("read=1,write=0.5,write=0")
+
     def test_weights_must_sum_to_one(self):
         with pytest.raises(ValueError, match="sum to 1"):
             TrafficMix.parse("read=0.5,write=0.2,algo=0.1")
@@ -571,6 +575,8 @@ class TestTrafficMixAnalysisRule:
         assert [f.rule for f in bad_sum.findings] == ["CFG005"]
         unknown = check_traffic_mix("read=1.0,frob=0.0")
         assert [f.rule for f in unknown.findings] == ["CFG005"]
+        repeated = check_traffic_mix("read=1,write=0.5,write=0")
+        assert [f.rule for f in repeated.findings] == ["CFG005"]
 
     def test_scanner_lints_trafficmix_parse_literals(self):
         from repro.analysis.scanner import scan_source
