@@ -1,6 +1,6 @@
 """Connected components -- the survey's most popular computation (Table 9).
 
-Provides the static algorithms (BFS-based and union-find) plus an
+Provides the static algorithms (array min-label and union-find) plus an
 *incremental* connectivity structure for the Section 4.3 participants who
 reported running approximate/incremental connected components on changing
 graphs.
@@ -12,31 +12,51 @@ implements Tarjan's algorithm iteratively.
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Hashable, Iterable, Iterator
 
+import numpy as np
+
 from repro.graphs.adjacency import Vertex
+from repro.graphs.csr import CSRGraph
 
 
 def connected_components(graph) -> list[set[Vertex]]:
-    """Weakly connected components via BFS over undirected adjacency."""
-    seen: set[Vertex] = set()
-    components = []
-    for start in graph.vertices():
-        if start in seen:
-            continue
-        component = {start}
-        seen.add(start)
-        queue = deque([start])
-        while queue:
-            vertex = queue.popleft()
-            for neighbor in graph.neighbors(vertex):
-                if neighbor not in seen:
-                    seen.add(neighbor)
-                    component.add(neighbor)
-                    queue.append(neighbor)
-        components.append(component)
-    return components
+    """Weakly connected components, ordered by their first vertex in
+    ``graph.vertices()`` order.
+
+    Runs on the graph's :meth:`CSRGraph.of` snapshot: every edge hooks
+    the larger of its endpoints' roots under the smaller, and pointer
+    jumping flattens the forest, until no edge joins two roots. Each
+    root is then its component's smallest index, i.e. its first vertex.
+    """
+    csr = CSRGraph.of(graph)
+    n = csr.num_vertices()
+    if n == 0:
+        return []
+    # The narrowest type that holds every index keeps the edge copies small.
+    dtype = np.min_scalar_type(n)
+    parent = np.arange(n, dtype=dtype)
+    us = np.repeat(parent, np.diff(csr.indptr))
+    vs = csr.indices.astype(dtype)
+    while us.size:
+        roots_u, roots_v = parent[us], parent[vs]
+        # Trees only ever merge, so an edge inside one is done for good.
+        split = roots_u != roots_v
+        us, vs = us[split], vs[split]
+        roots_u, roots_v = roots_u[split], roots_v[split]
+        np.minimum.at(parent, np.maximum(roots_u, roots_v),
+                      np.minimum(roots_u, roots_v))
+        while True:
+            jumped = parent[parent]
+            if np.array_equal(jumped, parent):
+                break
+            parent = jumped
+    members = np.argsort(parent, kind="stable")
+    _, starts = np.unique(parent[members], return_index=True)
+    order = csr.vertex_order
+    grouped = [order[i] for i in members.tolist()]
+    bounds = starts.tolist() + [n]
+    return [set(grouped[a:b]) for a, b in zip(bounds, bounds[1:])]
 
 
 def component_labels(graph) -> dict[Vertex, int]:

@@ -28,7 +28,7 @@ def adjacency_matrix(graph: Graph | CSRGraph,
     """The weighted adjacency matrix A with A[i, j] = weight(i -> j),
     plus the vertex order the indices refer to. Parallel edges keep the
     minimum weight (matching ``Graph.edge_weight``)."""
-    csr = graph if isinstance(graph, CSRGraph) else CSRGraph.from_graph(graph)
+    csr = CSRGraph.of(graph)
     n = csr.num_vertices()
     matrix = sp.csr_matrix(
         (csr.weights, csr.indices, csr.indptr), shape=(n, n))

@@ -27,8 +27,9 @@ def pagerank(
     """PageRank scores summing to 1.
 
     Args:
-        graph: a :class:`Graph` (snapshotted internally) or a prebuilt
-            :class:`CSRGraph`.
+        graph: a :class:`Graph` (snapshotted internally through
+            :meth:`CSRGraph.of`, so repeat calls on an unchanged graph
+            reuse one snapshot) or a prebuilt :class:`CSRGraph`.
         damping: probability of following an edge vs teleporting.
         tol: L1 convergence threshold.
         max_iter: iteration budget; exceeded budget raises
@@ -39,7 +40,7 @@ def pagerank(
     """
     if not 0 <= damping < 1:
         raise ValueError("damping must be in [0, 1)")
-    csr = graph if isinstance(graph, CSRGraph) else CSRGraph.from_graph(graph)
+    csr = CSRGraph.of(graph)
     n = csr.num_vertices()
     if n == 0:
         return {}

@@ -7,6 +7,12 @@ O(1) edge counting, cheap removal, and first-class parallel edges.
 
 Vertices are arbitrary hashable values. Edge weights default to 1.0; the
 algorithms treat them as costs (paths, MST) or capacities as documented.
+
+Each adjacency bucket is an immutable tuple of edge ids rather than a
+set: a tuple of ints drops out of the garbage collector's tracking, so a
+resident graph costs the collector little beyond its edge records. The
+topology ``version`` lets :meth:`repro.graphs.csr.CSRGraph.of` reuse one
+array snapshot until the next structural change.
 """
 
 from __future__ import annotations
@@ -56,9 +62,17 @@ class Graph:
         self._multigraph = multigraph
         self._edges: dict[int, Edge] = {}
         self._next_edge_id = 0
-        # vertex -> neighbor -> set of edge ids
-        self._out: dict[Vertex, dict[Vertex, set[int]]] = {}
-        self._in: dict[Vertex, dict[Vertex, set[int]]] = {}
+        # vertex -> neighbor -> tuple of edge ids
+        self._out: dict[Vertex, dict[Vertex, tuple[int, ...]]] = {}
+        self._in: dict[Vertex, dict[Vertex, tuple[int, ...]]] = {}
+        self._version = 0
+        # (version, CSRGraph) kept by CSRGraph.of; never copied or pickled.
+        self._snapshot = None
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        state["_snapshot"] = None
+        return state
 
     # -- basic properties -------------------------------------------------
 
@@ -69,6 +83,12 @@ class Graph:
     @property
     def multigraph(self) -> bool:
         return self._multigraph
+
+    @property
+    def version(self) -> int:
+        """Topology counter, bumped after every structural mutation
+        (property and label writes leave it alone)."""
+        return self._version
 
     def num_vertices(self) -> int:
         return len(self._out)
@@ -95,6 +115,7 @@ class Graph:
         if vertex not in self._out:
             self._out[vertex] = {}
             self._in[vertex] = {}
+            self._version += 1
         return vertex
 
     def add_vertices(self, vertices: Iterable[Vertex]) -> None:
@@ -111,11 +132,12 @@ class Graph:
         edge_id = self._next_edge_id
         self._next_edge_id += 1
         self._edges[edge_id] = Edge(edge_id=edge_id, u=u, v=v, weight=weight)
-        self._out[u].setdefault(v, set()).add(edge_id)
-        self._in[v].setdefault(u, set()).add(edge_id)
+        _link(self._out[u], v, edge_id)
+        _link(self._in[v], u, edge_id)
         if not self._directed and u != v:
-            self._out[v].setdefault(u, set()).add(edge_id)
-            self._in[u].setdefault(v, set()).add(edge_id)
+            _link(self._out[v], u, edge_id)
+            _link(self._in[u], v, edge_id)
+        self._version += 1
         return edge_id
 
     def add_edges(self, pairs: Iterable[tuple[Vertex, Vertex]]) -> list[int]:
@@ -127,20 +149,13 @@ class Graph:
             edge = self._edges.pop(edge_id)
         except KeyError:
             raise EdgeNotFound(f"id {edge_id}") from None
-        self._unlink(edge.u, edge.v, edge_id)
+        _unlink(self._out[edge.u], edge.v, edge_id)
+        _unlink(self._in[edge.v], edge.u, edge_id)
         if not self._directed and edge.u != edge.v:
-            self._unlink(edge.v, edge.u, edge_id)
+            _unlink(self._out[edge.v], edge.u, edge_id)
+            _unlink(self._in[edge.u], edge.v, edge_id)
+        self._version += 1
         return edge
-
-    def _unlink(self, u: Vertex, v: Vertex, edge_id: int) -> None:
-        bucket = self._out[u][v]
-        bucket.discard(edge_id)
-        if not bucket:
-            del self._out[u][v]
-        bucket = self._in[v][u]
-        bucket.discard(edge_id)
-        if not bucket:
-            del self._in[v][u]
 
     def remove_vertex(self, vertex: Vertex) -> None:
         """Remove a vertex and every incident edge."""
@@ -154,6 +169,7 @@ class Graph:
             self.remove_edge(edge_id)
         del self._out[vertex]
         del self._in[vertex]
+        self._version += 1
 
     # -- access ------------------------------------------------------------
 
@@ -177,7 +193,7 @@ class Graph:
         """Ids of all parallel edges u->v (empty frozenset when none)."""
         if u not in self._out:
             raise VertexNotFound(u)
-        return frozenset(self._out[u].get(v, frozenset()))
+        return frozenset(self._out[u].get(v, ()))
 
     def edge_weight(self, u: Vertex, v: Vertex) -> float:
         """Minimum weight among parallel edges u->v.
@@ -208,11 +224,14 @@ class Graph:
         """Out- and in-neighbors combined, each reported once."""
         if vertex not in self._out:
             raise VertexNotFound(vertex)
-        seen = set(self._out[vertex])
-        yield from self._out[vertex]
-        for u in self._in[vertex]:
-            if u not in seen:
-                yield u
+        out = self._out[vertex]
+        yield from out
+        # Undirected buckets mirror each other, so only a directed graph
+        # can have predecessors that are not also successors.
+        if self._directed:
+            for u in self._in[vertex]:
+                if u not in out:
+                    yield u
 
     def out_degree(self, vertex: Vertex) -> int:
         """Number of outgoing edges (counting parallel edges)."""
@@ -296,6 +315,20 @@ class Graph:
             if edge.u in keep and edge.v in keep:
                 clone.add_edge(edge.u, edge.v, weight=edge.weight)
         return clone
+
+
+def _link(index: dict[Vertex, tuple[int, ...]], key: Vertex,
+          edge_id: int) -> None:
+    index[key] = index.get(key, ()) + (edge_id,)
+
+
+def _unlink(index: dict[Vertex, tuple[int, ...]], key: Vertex,
+            edge_id: int) -> None:
+    rest = tuple(eid for eid in index[key] if eid != edge_id)
+    if rest:
+        index[key] = rest
+    else:
+        del index[key]
 
 
 def graph_from_edges(

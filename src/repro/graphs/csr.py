@@ -4,6 +4,8 @@ Iterative whole-graph computations (PageRank, spectral clustering, label
 propagation at scale) are much faster on flat arrays than on dict
 adjacency. :class:`CSRGraph` freezes a :class:`~repro.graphs.adjacency.
 Graph` into indptr/indices/weights arrays plus a vertex <-> index mapping.
+:meth:`CSRGraph.of` is how kernels get one: it keeps one snapshot per
+graph and reuses it until the graph's topology ``version`` moves.
 """
 
 from __future__ import annotations
@@ -41,6 +43,31 @@ class CSRGraph:
         self._index_of = {v: i for i, v in enumerate(self.vertex_order)}
 
     # -- construction --------------------------------------------------
+
+    @classmethod
+    def of(cls, graph) -> "CSRGraph":
+        """The snapshot of ``graph`` at its current topology version.
+
+        A :class:`Graph` keeps the last snapshot and gets it back until
+        its ``version`` moves. The version is read before building, so a
+        mutation racing the build can only cause a later miss, never a
+        stale hit. A ``CSRGraph`` is returned as is; other graph-likes
+        (filtered views) have no version and get a fresh build.
+        """
+        if isinstance(graph, CSRGraph):
+            return graph
+        if not isinstance(graph, Graph):
+            return cls.from_graph(graph)
+        version = graph.version
+        cached = graph._snapshot
+        if cached is not None and cached[0] == version:
+            return cached[1]
+        csr = cls.from_graph(graph)
+        # Every caller shares these arrays until the next mutation.
+        for array in (csr.indptr, csr.indices, csr.weights):
+            array.flags.writeable = False
+        graph._snapshot = (version, csr)
+        return csr
 
     @classmethod
     def from_graph(cls, graph: Graph) -> "CSRGraph":

@@ -27,6 +27,10 @@ DIST_SUPERSTEPS = 10
 SERVE_REQUESTS = 20
 SERVE_QUERY = ("MATCH (c:Customer)-[:PLACED]->(o:Order) "
                "RETURN c, o")
+#: The scale cases' RMAT graph: 16k vertices, ~120k edges.
+RMAT_SCALE = 14
+RMAT_EDGE_FACTOR = 8
+RMAT_SEED = 41
 
 _INPUTS: dict[str, Any] = {}
 
@@ -54,6 +58,16 @@ def _product_graph():
 
         _INPUTS["product"] = generate_product_graph(seed=SOCIAL_SEED)
     return _INPUTS["product"]
+
+
+def _rmat_graph():
+    if "rmat" not in _INPUTS:
+        from repro.generators import RMATSpec, rmat_graph
+
+        _INPUTS["rmat"] = rmat_graph(
+            RMATSpec(scale=RMAT_SCALE, edge_factor=RMAT_EDGE_FACTOR),
+            seed=RMAT_SEED)
+    return _INPUTS["rmat"]
 
 
 def _serve_service():
@@ -121,6 +135,10 @@ def _smallworld_edges() -> int:
     return _smallworld_graph().num_edges()
 
 
+def _rmat_edges() -> int:
+    return _rmat_graph().num_edges()
+
+
 def register_default_cases(suite: BenchSuite) -> BenchSuite:
     """Register the standing case set: workload kernels, ablation
     kernels, and one k=4 distributed case."""
@@ -138,6 +156,27 @@ def register_default_cases(suite: BenchSuite) -> BenchSuite:
                   tags=("workload",), work=_social_edges,
                   computation=computation,
                   scenario="social", seed=SOCIAL_SEED)
+
+    # -- scale cases on one RMAT graph: what holding it costs the
+    # collector, and a kernel on its warm snapshot -------------------
+    def resident_gc_case():
+        import gc
+
+        _rmat_graph()
+        return gc.collect()
+
+    def components_rmat_case():
+        from repro.algorithms import connected_components
+
+        return len(connected_components(_rmat_graph()))
+
+    rmat_params = dict(scale=RMAT_SCALE, edge_factor=RMAT_EDGE_FACTOR,
+                       seed=RMAT_SEED)
+    suite.add("graphs.resident_gc", resident_gc_case,
+              tags=("graphs",), work=_rmat_edges, **rmat_params)
+    suite.add("workload.components_rmat14",
+              components_rmat_case, tags=("workload",), work=_rmat_edges,
+              **rmat_params)
 
     def pregel_pagerank_case():
         from repro.dgps import pregel_pagerank

@@ -1,6 +1,8 @@
 """Core graph structure: adjacency store, property graph, CSR snapshot."""
 
 import datetime as dt
+import gc
+import pickle
 
 import numpy as np
 import pytest
@@ -311,6 +313,98 @@ class TestCSR:
         with pytest.raises(ValueError):
             CSRGraph(np.zeros(3), np.zeros(2), np.zeros(3), ["a", "b"],
                      directed=True)
+
+
+class TestSnapshot:
+    """One cached CSR snapshot per topology version, on GC-light
+    tuple buckets."""
+
+    @pytest.mark.parametrize("mutate", [
+        lambda g: g.add_vertex("new"),
+        lambda g: g.add_edge(2, 0),
+        lambda g: g.remove_edge(next(iter(g.edges())).edge_id),
+        lambda g: g.remove_vertex(1),
+    ], ids=["add_vertex", "add_edge", "remove_edge", "remove_vertex"])
+    def test_snapshot_reused_until_topology_changes(self, mutate):
+        g = graph_from_edges([(0, 1), (1, 2)])
+        first = CSRGraph.of(g)
+        assert CSRGraph.of(g) is first
+        assert CSRGraph.of(first) is first
+        assert not first.indices.flags.writeable
+        version = g.version
+        g.add_vertex(0)
+        assert g.version == version
+        assert CSRGraph.of(g) is first
+        mutate(g)
+        assert g.version > version
+        fresh = CSRGraph.of(g)
+        assert fresh is not first
+        assert np.array_equal(fresh.indptr, CSRGraph.from_graph(g).indptr)
+        assert CSRGraph.of(g) is fresh
+
+    def test_property_and_label_writes_keep_the_snapshot(self):
+        g = PropertyGraph()
+        g.add_vertex("a", label="Person", name="ann")
+        edge_id = g.add_edge("a", "b", label="KNOWS")
+        snapshot = CSRGraph.of(g)
+        g.add_vertex("a", label="Admin", age=3)
+        g.set_vertex_property("b", "name", "bob")
+        g.set_edge_property(edge_id, "since", 2017)
+        assert CSRGraph.of(g) is snapshot
+
+    def test_copies_start_without_a_snapshot(self):
+        g = graph_from_edges([(0, 1)])
+        CSRGraph.of(g)
+        assert g.copy()._snapshot is None
+        assert pickle.loads(pickle.dumps(g))._snapshot is None
+        assert g._snapshot is not None
+
+    def test_views_are_built_fresh(self):
+        from repro.graphs.views import GraphView
+
+        view = GraphView(graph_from_edges([(0, 1)]))
+        assert CSRGraph.of(view) is not CSRGraph.of(view)
+
+    @pytest.mark.parametrize("directed", [True, False])
+    def test_buckets_leave_gc_tracking(self, directed):
+        g = Graph(directed=directed, multigraph=True)
+        for u, v in [(0, 1), (0, 1), (1, 2), (2, 2), (3, 0)]:
+            g.add_edge(u, v)
+        gc.collect()
+        buckets = [bucket for index in (g._out, g._in)
+                   for row in index.values() for bucket in row.values()]
+        assert buckets and all(type(b) is tuple for b in buckets)
+        assert not any(gc.is_tracked(b) for b in buckets)
+
+    @pytest.mark.parametrize("directed", [True, False])
+    def test_parallel_edges_round_trip(self, directed):
+        g = Graph(directed=directed, multigraph=True)
+        g.add_vertices([0, 1])
+        ids = [g.add_edge(0, 1, weight=w) for w in (3.0, 1.0, 2.0)]
+        loops = [g.add_edge(1, 1), g.add_edge(1, 1)]
+        assert g.edge_ids(0, 1) == frozenset(ids)
+        assert g.edge_weight(0, 1) == 1.0
+        assert g.out_degree(0) == 3
+        g.remove_edge(ids[1])
+        assert g.edge_ids(0, 1) == {ids[0], ids[2]}
+        assert g.edge_weight(0, 1) == 2.0
+        if not directed:
+            assert g.edge_ids(1, 0) == {ids[0], ids[2]}
+        for edge_id in (ids[0], ids[2], *loops):
+            g.remove_edge(edge_id)
+        assert not g.has_edge(0, 1) and not g.has_edge(1, 1)
+        assert g.edge_ids(0, 1) == frozenset()
+        assert all(not row for index in (g._out, g._in)
+                   for row in index.values())
+        assert g.degree(0) == g.degree(1) == 0
+        assert CSRGraph.of(g).indices.size == 0
+
+    def test_undirected_neighbors_follow_insertion_order(self):
+        g = graph_from_edges([(0, 3), (2, 0), (0, 1), (0, 0)],
+                             directed=False)
+        assert list(g.neighbors(0)) == [3, 2, 1, 0]
+        d = graph_from_edges([(0, 3), (2, 0), (0, 1), (3, 0)])
+        assert list(d.neighbors(0)) == [3, 1, 2]
 
 
 @given(st.lists(
