@@ -24,7 +24,7 @@ The classic algorithms expressed on top of it live in
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Iterable
 
 from repro.errors import ReproError
@@ -43,17 +43,26 @@ class PregelError(ReproError):
     """A vertex program misbehaved or the run exceeded its budget."""
 
 
-@dataclass
+@dataclass(slots=True)
 class VertexContext:
     """Everything a vertex program sees during one superstep."""
 
     vertex: Vertex
     value: Any
     superstep: int
-    messages: list[Any]
-    _engine: "PregelEngine"
+    _host: Any
+    _plane: MessagePlane
+    _out_edges: list[tuple[Vertex, float]]
+    _messages: list[Any] | None = None
     _halted: bool = False
-    _out_edges: list[tuple[Vertex, float]] = field(default_factory=list)
+
+    @property
+    def messages(self) -> list[Any]:
+        """Messages sent to this vertex last superstep (with a
+        combiner, at most one folded value)."""
+        if self._messages is None:
+            self._messages = self._plane.received(self.vertex)
+        return self._messages
 
     def out_edges(self) -> list[tuple[Vertex, float]]:
         """(neighbor, weight) pairs for this vertex's out-edges."""
@@ -64,11 +73,10 @@ class VertexContext:
 
     def send(self, target: Vertex, message: Any) -> None:
         """Deliver a message to ``target`` at the next superstep."""
-        self._engine._enqueue(target, message)
+        self._plane.send(target, message)
 
     def send_to_neighbors(self, message: Any) -> None:
-        for neighbor, _ in self._out_edges:
-            self._engine._enqueue(neighbor, message)
+        self._plane.send_to_neighbors(self.vertex, message)
 
     def vote_to_halt(self) -> None:
         """Deactivate; the vertex reactivates if a message arrives."""
@@ -76,15 +84,15 @@ class VertexContext:
 
     def aggregate(self, name: str, value: Any) -> None:
         """Contribute to a global aggregator for this superstep."""
-        self._engine._aggregate(name, value)
+        self._host._aggregate(name, value)
 
     def aggregated(self, name: str) -> Any:
         """The aggregator's value from the *previous* superstep."""
-        return self._engine._previous_aggregates.get(name)
+        return self._host._previous_aggregates.get(name)
 
     @property
     def num_vertices(self) -> int:
-        return self._engine.num_vertices
+        return self._host.num_vertices
 
 
 #: A vertex program: mutates/returns the vertex value given its context.
@@ -99,15 +107,145 @@ def require_known_vertex(known, target: Vertex) -> None:
     """Reject a message aimed at a vertex that is not in the graph.
 
     ``known`` is any container supporting ``in`` over the graph's
-    vertices (the engine's value map, a shard assignment, ...). Shared
-    by :meth:`PregelEngine._enqueue` and :mod:`repro.dist` message
-    routing so both fail at the *send* site with the same clear error
-    instead of corrupting a later superstep.
+    vertices (the engine's value map, a shard assignment, ...).
+    :meth:`MessagePlane.send` calls it, so every host fails at the
+    *send* site with the same clear error instead of corrupting a later
+    superstep.
     """
     if target not in known:
         raise PregelError(
             f"message sent to unknown vertex {target!r}: "
             f"message targets must be vertices of the graph")
+
+
+def build_out_edges(graph: Graph) -> dict[Vertex, list[tuple[Vertex, float]]]:
+    """Per-vertex ``(neighbor, weight)`` lists, undirected edges
+    mirrored. Built from ``graph.edges()``, so every neighbor is a graph
+    vertex by construction."""
+    out_edges: dict[Vertex, list[tuple[Vertex, float]]] = {
+        v: [] for v in graph.vertices()}
+    for edge in graph.edges():
+        out_edges[edge.u].append((edge.v, edge.weight))
+        if not graph.directed and edge.u != edge.v:
+            out_edges[edge.v].append((edge.u, edge.weight))
+    return out_edges
+
+
+class MessagePlane:
+    """The message buffers of one BSP host, engine or shard.
+
+    A superstep reads ``inbox`` while its sends land in ``local`` or,
+    when ``route`` maps the target to a shard other than ``home``, in
+    ``remote[dest]``; :meth:`advance` then makes ``local`` the next
+    inbox. With a combiner each target keeps one value slot, folded in
+    send order as ``slot = combiner(slot, message)``; without one, a
+    list in send order. Targets enter each buffer in send order, which
+    fixes the barrier's routing (and float fold) order.
+    """
+
+    def __init__(self, known,
+                 out_edges: dict[Vertex, list[tuple[Vertex, float]]],
+                 combiner: Combiner | None = None, *,
+                 route=None, home: int = 0):
+        self.combiner = combiner
+        self._known = known
+        self._route = route
+        self._home = home
+        # vertex -> ((dest, neighbors on dest), ...), split once here so
+        # a fan-out needs no validation and no route lookup per message.
+        self._fanout: dict[Vertex, tuple[tuple[int, tuple], ...]] = {}
+        for vertex, pairs in out_edges.items():
+            groups: dict[int, list[Vertex]] = {}
+            for target, _ in pairs:
+                dest = home if route is None else route[target]
+                groups.setdefault(dest, []).append(target)
+            self._fanout[vertex] = tuple(
+                (dest, tuple(group)) for dest, group in groups.items())
+        self.inbox: dict[Vertex, Any] = {}
+        self.begin()
+
+    def begin(self) -> None:
+        """Empty the outgoing buffers and zero the counters."""
+        self.local: dict[Vertex, Any] = {}
+        self.remote: dict[int, dict[Vertex, Any]] = {}
+        self.sent = 0
+        self.remote_sent = 0
+
+    def advance(self) -> None:
+        """Local sends become the inbox of the next superstep."""
+        self.inbox = self.local
+        self.local = {}
+
+    def send(self, target: Vertex, message: Any) -> None:
+        require_known_vertex(self._known, target)
+        dest = self._home if self._route is None else self._route[target]
+        self._post(dest, (target,), message)
+
+    def send_to_neighbors(self, vertex: Vertex, message: Any) -> None:
+        for dest, targets in self._fanout[vertex]:
+            self._post(dest, targets, message)
+
+    def _post(self, dest: int, targets: tuple[Vertex, ...],
+              message: Any) -> None:
+        self.sent += len(targets)
+        if dest == self._home:
+            box = self.local
+        else:
+            self.remote_sent += len(targets)
+            box = self.remote.get(dest)
+            if box is None:
+                box = self.remote[dest] = {}
+        combine = self.combiner
+        if combine is None:
+            for target in targets:
+                box.setdefault(target, []).append(message)
+        else:
+            for target in targets:
+                box[target] = (combine(box[target], message)
+                               if target in box else message)
+
+    def routed(self) -> int:
+        """Messages leaving for other shards; a combined slot is one."""
+        if self.combiner is None:
+            return self.remote_sent
+        return sum(len(box) for box in self.remote.values())
+
+    def _as_list(self, entry: Any) -> list[Any]:
+        return list(entry) if self.combiner is None else [entry]
+
+    def received(self, vertex: Vertex) -> list[Any]:
+        """``vertex``'s inbox entry as a message list."""
+        if vertex not in self.inbox:
+            return []
+        return self._as_list(self.inbox[vertex])
+
+    def outgoing(self) -> dict[int, dict[Vertex, list[Any]]]:
+        """The remote buffers as message lists; a combined slot travels
+        (and is counted at the barrier) as one message."""
+        return {dest: {target: self._as_list(entry)
+                       for target, entry in box.items()}
+                for dest, box in self.remote.items()}
+
+    def accept(self, target: Vertex, messages: list[Any]) -> int:
+        """Fold routed messages into the inbox; returns how many."""
+        box = self.inbox
+        if self.combiner is None:
+            box.setdefault(target, []).extend(messages)
+        else:
+            for message in messages:
+                box[target] = (self.combiner(box[target], message)
+                               if target in box else message)
+        return len(messages)
+
+    def pending(self) -> dict[Vertex, list[Any]]:
+        """The inbox as ``{vertex: [messages]}`` (checkpoint format)."""
+        return {v: self._as_list(entry) for v, entry in self.inbox.items()}
+
+    def restore(self, pending: dict[Vertex, list[Any]]) -> None:
+        """Refill the inbox from :meth:`pending` output."""
+        self.inbox = {}
+        for target, messages in pending.items():
+            self.accept(target, messages)
 
 
 def run_local_superstep(
@@ -116,16 +254,16 @@ def run_local_superstep(
     superstep: int,
     active: Iterable[Vertex],
     values: dict[Vertex, Any],
-    inbox: dict[Vertex, list[Any]],
+    plane: MessagePlane,
     out_edges: dict[Vertex, list[tuple[Vertex, float]]],
     halted: set[Vertex],
 ) -> None:
     """Superstep-local compute, shared by every BSP executor.
 
     Runs ``program`` over ``active`` vertices, mutating ``values`` and
-    ``halted`` in place. ``host`` receives the sends/aggregations: it
-    must provide ``_enqueue``, ``_aggregate``, ``_previous_aggregates``
-    and ``num_vertices`` — the surface :class:`VertexContext` uses.
+    ``halted`` in place. Messages are read from and sent through
+    ``plane``; ``host`` receives the aggregations: it must provide
+    ``_aggregate``, ``_previous_aggregates`` and ``num_vertices``.
     :class:`PregelEngine` passes itself (whole graph); a
     :class:`repro.dist.worker.Worker` passes itself (one shard), which
     is what keeps distributed supersteps bit-for-bit the same compute
@@ -133,14 +271,8 @@ def run_local_superstep(
     """
     for vertex in active:
         halted.discard(vertex)
-        context = VertexContext(
-            vertex=vertex,
-            value=values[vertex],
-            superstep=superstep,
-            messages=inbox.get(vertex, []),
-            _engine=host,
-            _out_edges=out_edges[vertex],
-        )
+        context = VertexContext(vertex, values[vertex], superstep, host,
+                                plane, out_edges[vertex])
         new_value = program(context)
         if new_value is not None:
             values[vertex] = new_value
@@ -186,7 +318,6 @@ class PregelEngine:
     ):
         self._graph = graph
         self._program = program
-        self._combiner = combiner
         self._aggregators = dict(aggregators or {})
         self._max_supersteps = max_supersteps
         self.num_vertices = graph.num_vertices()
@@ -197,32 +328,15 @@ class PregelEngine:
                 self._values[vertex] = initial_value(vertex)
             else:
                 self._values[vertex] = initial_value
-        self._out_edges: dict[Vertex, list[tuple[Vertex, float]]] = {
-            v: [] for v in graph.vertices()}
-        for edge in graph.edges():
-            self._out_edges[edge.u].append((edge.v, edge.weight))
-            if not graph.directed and edge.u != edge.v:
-                self._out_edges[edge.v].append((edge.u, edge.weight))
-
-        self._inbox: dict[Vertex, list[Any]] = {}
-        self._next_inbox: dict[Vertex, list[Any]] = {}
+        self._out_edges = build_out_edges(graph)
+        self._plane = MessagePlane(self._values, self._out_edges, combiner)
         self._halted: set[Vertex] = set()
-        self._messages_this_step = 0
         self._current_aggregates: dict[str, Any] = {}
         self._previous_aggregates: dict[str, Any] = {}
         self._span_listeners: list[Callable[[Span], None]] = []
         self._capture_values = False
 
     # -- engine internals (called by VertexContext) ---------------------
-
-    def _enqueue(self, target: Vertex, message: Any) -> None:
-        require_known_vertex(self._values, target)
-        self._messages_this_step += 1
-        box = self._next_inbox
-        if self._combiner is not None and target in box:
-            box[target] = [self._combiner(box[target][0], message)]
-        else:
-            box.setdefault(target, []).append(message)
 
     def _aggregate(self, name: str, value: Any) -> None:
         try:
@@ -293,9 +407,10 @@ class PregelEngine:
             # than interrupting a compute() mid-vertex.
             if deadline is not None:
                 deadline.check(f"pregel.superstep:{superstep}")
+            plane = self._plane
             active = [
                 v for v in self._values
-                if v not in self._halted or v in self._inbox
+                if v not in self._halted or v in plane.inbox
             ]
             if not active:
                 break
@@ -308,21 +423,20 @@ class PregelEngine:
             else:
                 step_span = span("pregel.superstep", superstep=superstep)
             with step_span:
-                self._messages_this_step = 0
+                plane.begin()
                 self._current_aggregates = {
                     name: identity
                     for name, (_, identity) in self._aggregators.items()}
                 run_local_superstep(
                     self, self._program, superstep, active,
-                    self._values, self._inbox, self._out_edges,
-                    self._halted)
+                    self._values, plane, self._out_edges, self._halted)
                 stats.append(SuperstepStats(
                     superstep=superstep,
                     active_vertices=len(active),
-                    messages_sent=self._messages_this_step,
+                    messages_sent=plane.sent,
                     aggregates=dict(self._current_aggregates)))
                 step_span.set("active_vertices", len(active))
-                step_span.set("messages_sent", self._messages_this_step)
+                step_span.set("messages_sent", plane.sent)
                 step_span.set("aggregates",
                               dict(self._current_aggregates))
                 if self._capture_values:
@@ -331,13 +445,11 @@ class PregelEngine:
                 listener(step_span)  # closed span, timing complete
             if metrics is not None:
                 metrics.inc("pregel.supersteps")
-                metrics.inc("pregel.messages_sent",
-                            self._messages_this_step)
+                metrics.inc("pregel.messages_sent", plane.sent)
                 metrics.observe("pregel.superstep_ms",
                                 step_span.duration_ms)
             self._previous_aggregates = dict(self._current_aggregates)
-            self._inbox = self._next_inbox
-            self._next_inbox = {}
+            plane.advance()
             superstep += 1
         else:
             raise PregelError(

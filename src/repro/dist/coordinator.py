@@ -41,6 +41,7 @@ from repro.dgps.pregel import (
     PregelError,
     PregelSpec,
     VertexProgram,
+    build_out_edges,
 )
 from repro.dist.checkpoint import (
     Checkpoint,
@@ -166,12 +167,7 @@ class Coordinator:
                 values[vertex] = initial_value(vertex)
             else:
                 values[vertex] = initial_value
-        out_edges: dict[Vertex, list[tuple[Vertex, float]]] = {
-            v: [] for v in self._vertex_order}
-        for edge in graph.edges():
-            out_edges[edge.u].append((edge.v, edge.weight))
-            if not graph.directed and edge.u != edge.v:
-                out_edges[edge.v].append((edge.u, edge.weight))
+        out_edges = build_out_edges(graph)
 
         num_vertices = graph.num_vertices()
         self.workers: list[Worker] = [

@@ -11,6 +11,10 @@ The :class:`Partitioner` adapter turns the heuristics from
 maps; quality of a map is judged by the same metrics the ablation bench
 uses — ``edge_cut``, ``balance`` and ``communication_volume``, the last
 being the quantity sender-side combining actually pays for.
+
+A :class:`Graph` keeps the last shard map a built-in strategy made for
+it, with its routing stats, until its ``version`` moves, so repeated
+runs on an unchanged graph partition it once.
 """
 
 from __future__ import annotations
@@ -98,6 +102,8 @@ class ShardMap:
 
     ``shards[i]`` holds shard i's vertices in global graph order;
     shards may be empty when the partitioner used fewer than k parts.
+    A cached map is shared by every run on the same graph version, so
+    treat ``assignment`` as read-only.
     """
 
     k: int
@@ -117,7 +123,18 @@ class ShardMap:
         return [len(shard) for shard in self.shards]
 
     def routing_stats(self, graph: Graph) -> dict[str, Any]:
-        """The cost metrics shard routing pays on this graph."""
+        """The cost metrics shard routing pays on this graph (computed
+        once per cached shard map; each call returns a fresh copy)."""
+        entry = graph._shards if isinstance(graph, Graph) else None
+        if (entry is None or entry.shard_map is not self
+                or entry.key[0] != graph.version):
+            return self._routing_stats(graph)
+        if entry.routing is None:
+            entry.routing = self._routing_stats(graph)
+        stats = entry.routing
+        return {**stats, "shard_sizes": list(stats["shard_sizes"])}
+
+    def _routing_stats(self, graph) -> dict[str, Any]:
         partition = dict(self.assignment)
         return {
             "k": self.k,
@@ -126,6 +143,15 @@ class ShardMap:
             "balance": balance(partition, self.k),
             "communication_volume": communication_volume(graph, partition),
         }
+
+
+@dataclass
+class _CachedShards:
+    """The one shard map a :class:`Graph` keeps in ``graph._shards``."""
+
+    key: tuple[int, str, int, int]  # (version, strategy, k, seed)
+    shard_map: ShardMap
+    routing: dict[str, Any] | None = None
 
 
 def shard_map_from_assignment(assignment: Partition, k: int,
@@ -160,14 +186,16 @@ class Partitioner:
 
     ``strategy`` is a name from :data:`PARTITION_STRATEGIES`, a callable
     ``(graph, k, seed) -> Partition``, or an explicit vertex->part dict
-    (used as-is).
+    (used as-is). Only named strategies on a :class:`Graph` reuse the
+    graph's cached shard map.
     """
 
     def __init__(self, strategy: str | Callable[..., Partition]
                  | Partition = "bfs", seed: int = 0):
         self.seed = seed
         self._explicit: Partition | None = None
-        if isinstance(strategy, str):
+        self._builtin = isinstance(strategy, str)
+        if self._builtin:
             try:
                 self._strategy = PARTITION_STRATEGIES[strategy]
             except KeyError:
@@ -191,10 +219,22 @@ class Partitioner:
         if k < 1:
             raise ValueError("k must be >= 1")
         if self._explicit is not None:
-            assignment = self._explicit
-        else:
-            assignment = self._strategy(graph, k, seed=self.seed)
-        return shard_map_from_assignment(assignment, k, graph.vertices())
+            return shard_map_from_assignment(self._explicit, k,
+                                             graph.vertices())
+        cacheable = self._builtin and isinstance(graph, Graph)
+        if cacheable:
+            # The version is read before building, as CSRGraph.of does:
+            # a mutation racing the build can only cause a later miss.
+            key = (graph.version, self.name, k, self.seed)
+            entry = graph._shards
+            if entry is not None and entry.key == key:
+                return entry.shard_map
+        assignment = self._strategy(graph, k, seed=self.seed)
+        shard_map = shard_map_from_assignment(assignment, k,
+                                              graph.vertices())
+        if cacheable:
+            graph._shards = _CachedShards(key, shard_map)
+        return shard_map
 
 
 def build_shard_map(graph: Graph, k: int,

@@ -4,15 +4,17 @@ A :class:`Worker` owns its shard's vertices: their values, halted
 flags, out-adjacency, and the inbox of messages due this superstep.
 Each superstep it runs the *same* superstep-local compute as the
 single-machine engine (:func:`repro.dgps.pregel.run_local_superstep` —
-the worker is the ``host`` that receives sends and aggregations), so a
+the worker is the ``host`` that receives aggregations, and its
+:class:`~repro.dgps.pregel.MessagePlane` carries the sends), so a
 vertex program cannot tell which runtime it is on.
 
-What differs is where messages go. A send to a local vertex lands in
-the worker's own next-superstep inbox; a send to a remote vertex is
-buffered per destination shard, with the combiner applied *at the
-sender* — folding n messages for one remote target into one before
-routing, which is the classic trick for cutting cross-shard traffic
-(the ``messages_combined`` count is exactly the traffic saved).
+What differs is where messages go. The worker's plane routes by the
+shard assignment: a send to a local vertex lands in the worker's own
+next-superstep inbox; a send to a remote vertex is buffered per
+destination shard, with the combiner applied *at the sender* — folding
+n messages for one remote target into one before routing, which is the
+classic trick for cutting cross-shard traffic (the
+``messages_combined`` count is exactly the traffic saved).
 """
 
 from __future__ import annotations
@@ -23,9 +25,9 @@ from typing import Any
 from repro.dgps.pregel import (
     Aggregator,
     Combiner,
+    MessagePlane,
     PregelError,
     VertexProgram,
-    require_known_vertex,
     run_local_superstep,
 )
 from repro.graphs.adjacency import Vertex
@@ -67,9 +69,7 @@ class Worker:
         self.index = index
         self.name = f"w{index}"
         self.vertices = vertices
-        self._assignment = assignment
         self._program = program
-        self._combiner = combiner
         self._aggregators = aggregators
         #: global vertex count — VertexContext.num_vertices reads this,
         #: so programs see the whole graph's size, not the shard's.
@@ -77,31 +77,14 @@ class Worker:
 
         self.values: dict[Vertex, Any] = values
         self.halted: set[Vertex] = set()
-        self.inbox: dict[Vertex, list[Any]] = {}
         self._out_edges = out_edges
+        self._plane = MessagePlane(assignment, out_edges, combiner,
+                                   route=assignment, home=index)
 
         self._previous_aggregates: dict[str, Any] = {}
         self._current_aggregates: dict[str, Any] = {}
-        self._next_local: dict[Vertex, list[Any]] = {}
-        self._remote: dict[int, dict[Vertex, list[Any]]] = {}
-        self._sent = 0
-        self._remote_raw = 0
 
     # -- host surface used by VertexContext -----------------------------
-
-    def _enqueue(self, target: Vertex, message: Any) -> None:
-        require_known_vertex(self._assignment, target)
-        self._sent += 1
-        dest = self._assignment[target]
-        if dest == self.index:
-            box = self._next_local
-        else:
-            self._remote_raw += 1
-            box = self._remote.setdefault(dest, {})
-        if self._combiner is not None and target in box:
-            box[target] = [self._combiner(box[target][0], message)]
-        else:
-            box.setdefault(target, []).append(message)
 
     def _aggregate(self, name: str, value: Any) -> None:
         try:
@@ -115,11 +98,13 @@ class Worker:
 
     def active_vertices(self) -> list[Vertex]:
         """Vertices that will compute next superstep (shard order)."""
+        inbox = self._plane.inbox
         return [v for v in self.vertices
-                if v not in self.halted or v in self.inbox]
+                if v not in self.halted or v in inbox]
 
     def has_active(self) -> bool:
-        return any(v not in self.halted or v in self.inbox
+        inbox = self._plane.inbox
+        return any(v not in self.halted or v in inbox
                    for v in self.vertices)
 
     def run_superstep(self, superstep: int,
@@ -142,34 +127,30 @@ class Worker:
                 work_span.set("injected_delay_ms", injected_delay_ms)
             self._previous_aggregates = previous_aggregates
             self._current_aggregates = {}
-            self._next_local = {}
-            self._remote = {}
-            self._sent = 0
-            self._remote_raw = 0
+            plane = self._plane
+            plane.begin()
 
             active = self.active_vertices()
             run_local_superstep(
                 self, self._program, superstep, active,
-                self.values, self.inbox, self._out_edges, self.halted)
+                self.values, plane, self._out_edges, self.halted)
             # This superstep's inbox is consumed; local sends become the
             # start of the next one (remote partials arrive via deliver).
-            self.inbox = self._next_local
+            plane.advance()
 
-            routed = sum(len(msgs) for buffer in self._remote.values()
-                         for msgs in buffer.values())
-            local = self._sent - self._remote_raw
+            routed = plane.routed()
             result = WorkerStepResult(
                 worker=self.name,
                 superstep=superstep,
                 active_vertices=len(active),
-                messages_sent=self._sent,
-                messages_local=local,
+                messages_sent=plane.sent,
+                messages_local=plane.sent - plane.remote_sent,
                 messages_routed=routed,
-                messages_combined=self._remote_raw - routed,
-                remote=self._remote,
+                messages_combined=plane.remote_sent - routed,
+                remote=plane.outgoing(),
                 aggregates=dict(self._current_aggregates))
             work_span.set("active_vertices", len(active))
-            work_span.set("messages_sent", self._sent)
+            work_span.set("messages_sent", plane.sent)
             work_span.set("messages_routed", routed)
             work_span.set("messages_combined", result.messages_combined)
         return result
@@ -177,23 +158,14 @@ class Worker:
     def deliver(self, target: Vertex, messages: list[Any]) -> int:
         """Accept routed messages for a local vertex (next superstep).
 
-        With a combiner, routed partials fold into the inbox entry so
+        With a combiner, routed partials fold into the inbox slot so
         the receiving vertex sees a single combined message — the same
         invariant the single-machine engine maintains. Returns the
         number of messages accepted — the coordinator's barrier
         accounting compares the sum against what was routed to detect
         injected message loss/duplication.
         """
-        box = self.inbox
-        if self._combiner is not None:
-            for message in messages:
-                if target in box:
-                    box[target] = [self._combiner(box[target][0], message)]
-                else:
-                    box[target] = [message]
-        else:
-            box.setdefault(target, []).extend(messages)
-        return len(messages)
+        return self._plane.accept(target, messages)
 
     # -- durability -------------------------------------------------------
 
@@ -202,14 +174,14 @@ class Worker:
         return {
             "values": dict(self.values),
             "halted": set(self.halted),
-            "inbox": {v: list(msgs) for v, msgs in self.inbox.items()},
+            "inbox": self._plane.pending(),
         }
 
     def restore(self, state: dict[str, Any]) -> None:
         """Reset shard state from a checkpoint (respawn after a kill)."""
         self.values = dict(state["values"])
         self.halted = set(state["halted"])
-        self.inbox = {v: list(msgs) for v, msgs in state["inbox"].items()}
+        self._plane.restore(state["inbox"])
 
     def __repr__(self) -> str:
         return (f"Worker({self.name}, vertices={len(self.vertices)}, "

@@ -10,7 +10,8 @@ algorithms treat them as costs (paths, MST) or capacities as documented.
 
 Each adjacency bucket is an immutable tuple of edge ids rather than a
 set: a tuple of ints drops out of the garbage collector's tracking, so a
-resident graph costs the collector little beyond its edge records. The
+resident graph costs the collector little beyond its edge records, which
+are slotted (no per-edge ``__dict__``). The
 topology ``version`` lets :meth:`repro.graphs.csr.CSRGraph.of` reuse one
 array snapshot until the next structural change.
 """
@@ -25,7 +26,7 @@ from repro.errors import EdgeNotFound, ParallelEdgeError, VertexNotFound
 Vertex = Hashable
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Edge:
     """An edge record: endpoints, id, and weight.
 
@@ -66,12 +67,15 @@ class Graph:
         self._out: dict[Vertex, dict[Vertex, tuple[int, ...]]] = {}
         self._in: dict[Vertex, dict[Vertex, tuple[int, ...]]] = {}
         self._version = 0
-        # (version, CSRGraph) kept by CSRGraph.of; never copied or pickled.
+        # Version-keyed caches, never copied or pickled: the
+        # (version, CSRGraph) kept by CSRGraph.of, and the last shard map
+        # repro.dist.partitioned built for this graph.
         self._snapshot = None
+        self._shards = None
 
     def __getstate__(self) -> dict:
         state = self.__dict__.copy()
-        state["_snapshot"] = None
+        state["_snapshot"] = state["_shards"] = None
         return state
 
     # -- basic properties -------------------------------------------------

@@ -9,6 +9,7 @@ from repro import obs
 from repro.algorithms.partitioning import (
     communication_volume,
     edge_cut,
+    partition_graph,
     random_partition,
 )
 from repro.dgps import (
@@ -37,10 +38,15 @@ from repro.dist import (
     hash_partition,
     run_distributed_pregel,
 )
+from repro.dist.partitioned import (
+    PARTITION_STRATEGIES,
+    shard_map_from_assignment,
+)
 from repro.dist.report import run_report, smoke
 from repro.dist.report import main as report_main
 from repro.generators import gnm_random_graph
 from repro.graphs.adjacency import Graph
+from repro.graphs.views import GraphView
 from repro.workloads import run_computation
 
 KS = (1, 3, 8)
@@ -376,6 +382,93 @@ class TestPartitioning:
         stats = build_shard_map(graph, 4).routing_stats(graph)
         assert {"edge_cut", "balance",
                 "communication_volume"} <= stats.keys()
+
+
+class TestShardMapCache:
+    """A graph keeps one shard map, reused while its version holds."""
+
+    @pytest.fixture
+    def g(self):
+        return gnm_random_graph(30, 60, directed=False, seed=11)
+
+    def test_hits_while_version_holds(self, g):
+        first = Partitioner("bfs").shard(g, 3)
+        assert Partitioner("bfs").shard(g, 3) is first
+        assert build_shard_map(g, 3) is first
+        g.add_vertex(next(iter(g.vertices())))  # already there: no bump
+        assert build_shard_map(g, 3) is first
+
+    @pytest.mark.parametrize("mutate", [
+        lambda g: g.add_vertex("new"),
+        lambda g: g.add_edge(0, "new"),
+        lambda g: g.remove_edge(next(iter(g.edges())).edge_id),
+        lambda g: g.remove_vertex(0),
+    ], ids=["add_vertex", "add_edge", "remove_edge", "remove_vertex"])
+    def test_misses_after_each_mutation(self, g, mutate):
+        first = build_shard_map(g, 3)
+        mutate(g)
+        fresh = build_shard_map(g, 3)
+        assert fresh is not first
+        assert fresh == shard_map_from_assignment(
+            partition_graph(g, 3, seed=0), 3, g.vertices())
+        assert build_shard_map(g, 3) is fresh
+
+    def test_one_entry_per_graph(self, g):
+        at_3 = build_shard_map(g, 3)
+        at_4 = build_shard_map(g, 4)
+        assert g._shards.shard_map is at_4
+        assert build_shard_map(g, 4) is at_4
+        assert build_shard_map(g, 3) is not at_3
+        for kwargs in ({"strategy": "hash"}, {"seed": 1}):
+            other = build_shard_map(g, 3, **kwargs)
+            assert g._shards.shard_map is other
+
+    def test_callables_explicit_maps_and_views_are_not_cached(self, g):
+        def custom(graph, k, seed=0):
+            return partition_graph(graph, k, seed=seed)
+
+        custom.__name__ = "bfs"  # a built-in's name is not enough
+        explicit = {v: 0 for v in g.vertices()}
+        for strategy in (custom, explicit):
+            chooser = Partitioner(strategy)
+            assert chooser.shard(g, 2) is not chooser.shard(g, 2)
+        view = GraphView(g)
+        assert build_shard_map(view, 2) is not build_shard_map(view, 2)
+        assert g._shards is None
+
+    def test_routing_stats_are_cached_as_copies(self, g):
+        shard_map = build_shard_map(g, 3)
+        stats = shard_map.routing_stats(g)
+        assert g._shards.routing == stats
+        stats["shard_sizes"].append(99)
+        stats["edge_cut"] = -1
+        assert shard_map.routing_stats(g) == g._shards.routing
+        assert shard_map.routing_stats(g)["edge_cut"] == edge_cut(
+            g, dict(shard_map.assignment))
+
+    def test_copies_and_pickles_start_empty(self, g):
+        build_shard_map(g, 3)
+        assert g.copy()._shards is None
+        assert pickle.loads(pickle.dumps(g))._shards is None
+        assert g._shards is not None
+
+    def test_repeated_runs_partition_once(self, g, monkeypatch):
+        calls = []
+
+        def counted(graph, k, seed=0):
+            calls.append(k)
+            return partition_graph(graph, k, seed=seed)
+
+        monkeypatch.setitem(PARTITION_STRATEGIES, "bfs", counted)
+        spec = pagerank_spec(g, supersteps=3)
+        first = run_distributed_pregel(g, spec, k=3)
+        again = run_distributed_pregel(g, spec, k=3)
+        assert calls == [3]
+        assert again.values == first.values
+        assert again.routing == first.routing
+        g.add_vertex("new")
+        run_distributed_pregel(g, spec, k=3)
+        assert calls == [3, 3]
 
 
 class TestCommunicationVolume:

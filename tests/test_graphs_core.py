@@ -1,5 +1,6 @@
 """Core graph structure: adjacency store, property graph, CSR snapshot."""
 
+import dataclasses
 import datetime as dt
 import gc
 import pickle
@@ -405,6 +406,47 @@ class TestSnapshot:
         assert list(g.neighbors(0)) == [3, 2, 1, 0]
         d = graph_from_edges([(0, 3), (2, 0), (0, 1), (3, 0)])
         assert list(d.neighbors(0)) == [3, 1, 2]
+
+
+class TestEdgeRecords:
+    """Edges are frozen, slotted records that survive pickling and
+    ``copy()`` unchanged."""
+
+    def test_edges_are_slotted_and_frozen(self):
+        edge = next(graph_from_edges([(0, 1)]).edges())
+        assert not hasattr(edge, "__dict__")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            edge.weight = 2.0
+        assert pickle.loads(pickle.dumps(edge)) == edge
+        assert hash(edge) == hash(dataclasses.replace(edge))
+
+    @pytest.mark.parametrize("directed", [True, False])
+    def test_graph_pickle_and_copy_round_trip(self, directed):
+        g = Graph(directed=directed, multigraph=True)
+        for u, v, w in [("a", "b", 2.5), ("a", "b", 0.5), ("b", "b", 1.0),
+                        (3, "a", 7.0)]:
+            g.add_edge(u, v, weight=w)
+        g.remove_edge(1)
+        clone = pickle.loads(pickle.dumps(g))
+        assert list(clone.edges()) == list(g.edges())
+        assert clone.edge(2) == g.edge(2)
+        assert clone.version == g.version
+        copied = g.copy()
+        assert ([(e.u, e.v, e.weight) for e in copied.edges()]
+                == [(e.u, e.v, e.weight) for e in g.edges()])
+        assert copied.edge_weight("a", "b") == 2.5
+
+    def test_property_graph_pickle_and_copy_round_trip(self):
+        g = PropertyGraph()
+        g.add_vertex("ann", label="Person", age=31)
+        edge_id = g.add_edge("ann", "bob", weight=4.0, label="KNOWS",
+                             since=2017)
+        for clone in (pickle.loads(pickle.dumps(g)), g.copy()):
+            assert list(clone.edges()) == list(g.edges())
+            assert clone.edge(edge_id).weight == 4.0
+            assert clone.edge_label(edge_id) == "KNOWS"
+            assert clone.edge_properties(edge_id) == {"since": 2017}
+            assert clone.vertex_properties("ann") == {"age": 31}
 
 
 @given(st.lists(
